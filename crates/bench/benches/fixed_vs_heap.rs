@@ -1,33 +1,32 @@
-//! Host-backend bench: the const-generic fixed-limb backend
-//! (`bignum::fixed`, 4 × 64-bit limbs on the stack) against the heap
-//! `BigUint` backend (8 × 32-bit limbs in a `Vec`) on the two operations
-//! the 256-bit curves live in — Montgomery multiplication and a full
-//! scalar-multiplication ladder.
+//! Host-backend bench: the field's fixed-limb Montgomery multiplication
+//! (`bignum::fixed`, 4 × 64-bit limbs on the stack — what every
+//! `field::FpContext` product runs on) against the heap `BigUint`
+//! `MontgomeryParams` oracle (8 × 32-bit limbs in a `Vec`) on the 256-bit
+//! secp256k1 modulus.
 //!
 //! Besides the usual Criterion timings, under `cargo bench` with
 //! `BENCH_REPORT_JSON=<path>` set the harness re-times both backends with
-//! a plain `Instant` loop and merges the speedup ratios (×100, as flat
-//! integer keys) into that report file, so CI archives the measured
+//! a plain `Instant` loop and merges the speedup ratio (×100, as a flat
+//! integer key) into that report file, so CI archives the measured
 //! fixed-over-heap factor alongside the cycle metrics.
 
-use bignum::fixed::Uint;
+use bignum::fixed::{MontgomeryContext, Uint};
 use bignum::{BigUint, MontgomeryParams};
 use criterion::{black_box, criterion_group, Criterion};
 use ecc::prelude::*;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
-/// Everything both backends need, built once: the secp256k1 curve, its
-/// heap Montgomery parameters, the shared-radix fixed context, and one
-/// reduced operand pair in both representations.
+/// Both backends for the secp256k1 modulus — the field's fixed context
+/// and the heap oracle — and one reduced operand pair in each
+/// representation.
 struct Fixture {
-    curve: Curve,
+    ctx: MontgomeryContext<4>,
     heap: MontgomeryParams,
     a_big: BigUint,
     b_big: BigUint,
     a_fix: Uint<4>,
     b_fix: Uint<4>,
-    k: BigUint,
 }
 
 impl Fixture {
@@ -38,25 +37,19 @@ impl Fixture {
         let mut rng = rand::rngs::StdRng::seed_from_u64(256);
         let a = &BigUint::random_bits(&mut rng, 256) % &p;
         let b = &BigUint::random_bits(&mut rng, 256) % &p;
-        let ctx = curve.fp().fixed256().expect("256-bit field").clone();
+        let ctx = curve.fp().mont_context().clone();
         let a_fix = ctx.to_mont(&Uint::from_biguint(&a).expect("reduced"));
         let b_fix = ctx.to_mont(&Uint::from_biguint(&b).expect("reduced"));
         let a_big = heap.to_mont(&a);
         let b_big = heap.to_mont(&b);
-        let k = BigUint::random_bits(&mut rng, 256);
         Fixture {
-            curve,
+            ctx,
             heap,
             a_big,
             b_big,
             a_fix,
             b_fix,
-            k,
         }
-    }
-
-    fn ctx(&self) -> &bignum::fixed::MontgomeryContext<4> {
-        self.curve.fp().fixed256().expect("256-bit field")
     }
 }
 
@@ -70,34 +63,7 @@ fn bench_montmul(c: &mut Criterion) {
         b.iter(|| f.heap.mont_mul(black_box(&f.a_big), black_box(&f.b_big)))
     });
     group.bench_function("fixed", |b| {
-        b.iter(|| f.ctx().mont_mul(black_box(&f.a_fix), black_box(&f.b_fix)))
-    });
-    group.finish();
-}
-
-fn bench_scalar_mul(c: &mut Criterion) {
-    let f = Fixture::new();
-    let mut group = c.benchmark_group("fixed_vs_heap/scalar_mul_256");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2));
-    group.bench_function("heap", |b| {
-        b.iter(|| {
-            f.curve.scalar_mul_reference(
-                black_box(f.curve.base_point()),
-                black_box(&f.k),
-                ScalarMulAlgorithm::DoubleAndAdd,
-            )
-        })
-    });
-    group.bench_function("fixed", |b| {
-        b.iter(|| {
-            f.curve.scalar_mul(
-                black_box(f.curve.base_point()),
-                black_box(&f.k),
-                ScalarMulAlgorithm::DoubleAndAdd,
-            )
-        })
+        b.iter(|| f.ctx.mont_mul(black_box(&f.a_fix), black_box(&f.b_fix)))
     });
     group.finish();
 }
@@ -116,21 +82,14 @@ fn secs_per_iter<T, F: FnMut() -> T>(mut f: F) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64
 }
 
-/// Measures the fixed-over-heap speedups and merges them (×100, rounded)
+/// Measures the fixed-over-heap speedup and merges it (×100, rounded)
 /// into the flat JSON report at `path`, preserving any keys already there.
 fn emit_speedup_report(path: &str) {
     let path = bench::json::report_path(path);
     let f = Fixture::new();
     let montmul = secs_per_iter(|| f.heap.mont_mul(&f.a_big, &f.b_big))
-        / secs_per_iter(|| f.ctx().mont_mul(&f.a_fix, &f.b_fix));
-    let ladder = secs_per_iter(|| {
-        f.curve
-            .scalar_mul_reference(f.curve.base_point(), &f.k, ScalarMulAlgorithm::DoubleAndAdd)
-    }) / secs_per_iter(|| {
-        f.curve
-            .scalar_mul(f.curve.base_point(), &f.k, ScalarMulAlgorithm::DoubleAndAdd)
-    });
-    println!("fixed-over-heap speedup: montmul_256 {montmul:.2}x, scalar_mul_256 {ladder:.2}x");
+        / secs_per_iter(|| f.ctx.mont_mul(&f.a_fix, &f.b_fix));
+    println!("fixed-over-heap speedup: montmul_256 {montmul:.2}x");
 
     let mut pairs = std::fs::read_to_string(&path)
         .ok()
@@ -141,18 +100,14 @@ fn emit_speedup_report(path: &str) {
         "fixed_vs_heap_montmul_256_speedup_x100".to_string(),
         (montmul * 100.0).round() as u64,
     ));
-    pairs.push((
-        "fixed_vs_heap_scalar_mul_256_speedup_x100".to_string(),
-        (ladder * 100.0).round() as u64,
-    ));
     std::fs::write(path, bench::json::write_object(&pairs)).expect("write BENCH_REPORT_JSON");
 }
 
-criterion_group!(benches, bench_montmul, bench_scalar_mul);
+criterion_group!(benches, bench_montmul);
 
 fn main() {
     benches();
-    // Speedup ratios only under a real `cargo bench` run (the harness
+    // The speedup ratio only under a real `cargo bench` run (the harness
     // passes --bench; `cargo test --benches` passes --test) with a report
     // path to merge into.
     let bench_mode = std::env::args().skip(1).any(|arg| arg == "--bench");

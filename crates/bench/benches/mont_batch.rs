@@ -28,7 +28,7 @@ impl Fixture {
     fn new() -> Fixture {
         let curve = Curve::from_parameters::<Secp256k1>().expect("registered curve");
         let p = curve.fp().modulus().clone();
-        let ctx = curve.fp().fixed256().expect("256-bit field").clone();
+        let ctx = curve.fp().mont_context().clone();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2048);
         let residue = |rng: &mut rand::rngs::StdRng| {
             let v = &BigUint::random_bits(rng, 256) % &p;

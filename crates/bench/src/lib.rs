@@ -113,16 +113,29 @@ pub mod json {
     /// (`crates/bench/`) as cwd while `cargo run` binaries keep the
     /// caller's cwd (the workspace root in CI), so a relative path would
     /// split the report across two files. Relative paths are therefore
-    /// anchored at the workspace root; absolute paths pass through.
+    /// anchored at the workspace root found from the current directory at
+    /// run time ([`workspace_root`]), so a copied checkout writes into its
+    /// own tree; absolute paths pass through. Outside any workspace the
+    /// path stays relative to the current directory.
     pub fn report_path(path: &str) -> std::path::PathBuf {
         let p = std::path::Path::new(path);
         if p.is_absolute() {
-            p.to_path_buf()
-        } else {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join(p)
+            return p.to_path_buf();
         }
+        let cwd = std::env::current_dir().unwrap_or_default();
+        workspace_root(&cwd).unwrap_or(cwd).join(p)
+    }
+
+    /// The nearest directory at or above `start` whose `Cargo.toml`
+    /// declares a `[workspace]`.
+    pub fn workspace_root(start: &std::path::Path) -> Option<std::path::PathBuf> {
+        start
+            .ancestors()
+            .find(|dir| {
+                std::fs::read_to_string(dir.join("Cargo.toml"))
+                    .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+            })
+            .map(std::path::Path::to_path_buf)
     }
 
     /// Renders `pairs` as a pretty-printed flat JSON object.
@@ -578,6 +591,24 @@ mod tests {
         assert!(json::parse_object("[1, 2]").is_err());
         assert!(json::parse_object("{\"k\": -3}").is_err());
         assert!(json::parse_object("{k: 3}").is_err());
+    }
+
+    #[test]
+    fn workspace_root_is_found_from_any_directory_below_it() {
+        let root = std::env::temp_dir().join(format!("bench-ws-{}", std::process::id()));
+        let member = root.join("crates").join("bench");
+        std::fs::create_dir_all(&member).unwrap();
+        std::fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
+        std::fs::write(member.join("Cargo.toml"), "[package]\nname = \"bench\"\n").unwrap();
+        assert_eq!(
+            json::workspace_root(&member).as_deref(),
+            Some(root.as_path())
+        );
+        assert_eq!(json::workspace_root(&root).as_deref(), Some(root.as_path()));
+        std::fs::remove_dir_all(&root).unwrap();
+        // Absolute paths pass through untouched.
+        let abs = std::env::temp_dir().join("BENCH_x.json");
+        assert_eq!(json::report_path(abs.to_str().unwrap()), abs);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`BigUint`](crate::BigUint) keeps its limbs in a `Vec<u32>`, which makes
 //! every ladder step on the host allocate. When the operand width is known
-//! statically — the 256-bit named curves, fixed RSA moduli — the arithmetic
+//! statically — every prime field up to 256 bits, fixed RSA moduli — the arithmetic
 //! can instead run on a `[u64; LIMBS]` stack array with `u128`
 //! carry/widening primitives and no heap traffic at all:
 //!
@@ -22,9 +22,10 @@
 //! - Free modular helpers ([`add_mod`], [`sub_mod`], [`neg_mod`],
 //!   [`mul_mod`], [`reduce_wide`]) for reduced fixed-width residues.
 //!
-//! Higher layers do not construct these directly: `field::Fp` selects the
-//! fixed path for 256-bit primes behind its existing API, and `ecc` runs
-//! the named 256-bit curve ladders on it. The differential proptest suite
+//! Higher layers do not construct these directly: every `field::FpContext`
+//! (any odd modulus of at most 256 bits) stores its elements as `Uint<4>`
+//! in one `MontgomeryContext<4>`, and `ecc` runs its curve ladders on that
+//! context. The differential proptest suite
 //! (`tests/fixed_uint_properties.rs`) pins every operation here to the heap
 //! backend bit for bit.
 

@@ -1,13 +1,17 @@
 //! Generates a fresh CEILIDH parameter set and prints it as hex constants.
 //!
 //! Usage: `cargo run -p ceilidh --release --bin gen_params -- [bits] [seed]`
-//! (defaults: 170 bits, seed from the OS RNG).
+//! (defaults: 170 bits, seed from the OS RNG; at most 256 bits, the width
+//! of the field backend).
+
+use std::process::ExitCode;
 
 use bignum::BigUint;
 use ceilidh::CeilidhParams;
+use field::FpContext;
 use rand::{Rng, SeedableRng};
 
-fn main() {
+fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let bits: usize = args
         .next()
@@ -17,6 +21,13 @@ fn main() {
         .next()
         .map(|a| a.parse().expect("seed must be an integer"))
         .unwrap_or_else(|| rand::thread_rng().gen());
+    if !(16..=FpContext::MAX_BITS).contains(&bits) {
+        eprintln!(
+            "gen_params: bits must be from 16 to {} (the field backend's width), got {bits}",
+            FpContext::MAX_BITS
+        );
+        return ExitCode::from(2);
+    }
 
     eprintln!("searching for a {bits}-bit CEILIDH prime (seed {seed})...");
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -39,4 +50,5 @@ fn main() {
     println!();
     println!("const P_{bits}_HEX: &str = \"{}\";", params.p().to_hex());
     println!("const Q_{bits}_HEX: &str = \"{}\";", params.q().to_hex());
+    ExitCode::SUCCESS
 }

@@ -92,16 +92,21 @@ pub fn compress_t2(params: &CeilidhParams, g: &TorusElement) -> Result<Compresse
 /// The result always satisfies `N_{Fp6/Fp3}(g) = 1`; it lies on the full
 /// torus `T6` only if the coordinates came from [`compress_t2`] applied to a
 /// `T6` element.
+///
+/// # Errors
+///
+/// Returns [`CeilidhError::DecompressionFailed`] if a coordinate is not a
+/// canonical residue (`>= p`), so every element has exactly one encoding.
 pub fn decompress_t2(
     params: &CeilidhParams,
     compressed: &CompressedT2,
 ) -> Result<TorusElement, CeilidhError> {
-    let fp = params.fp();
+    let [u0, u1, u2] = &compressed.coords;
     let a = embed_fp3(
         params,
-        &fp.from_biguint(&compressed.coords[0]),
-        &fp.from_biguint(&compressed.coords[1]),
-        &fp.from_biguint(&compressed.coords[2]),
+        &canonical(params, u0)?,
+        &canonical(params, u1)?,
+        &canonical(params, u2)?,
     );
     let g = t2_point(params, &a)?;
     Ok(TorusElement::from_fp6_unchecked(g))
@@ -140,15 +145,15 @@ pub fn compress(params: &CeilidhParams, g: &TorusElement) -> Result<CompressedTo
 ///
 /// # Errors
 ///
-/// Returns [`CeilidhError::DecompressionFailed`] if the coordinates do not
-/// correspond to any torus element or the hint is out of range.
+/// Returns [`CeilidhError::DecompressionFailed`] if a coordinate is not a
+/// canonical residue (`>= p`), if the coordinates do not correspond to any
+/// torus element, or if the hint is out of range.
 pub fn decompress(
     params: &CeilidhParams,
     compressed: &CompressedTorus,
 ) -> Result<TorusElement, CeilidhError> {
-    let fp = params.fp();
-    let u0 = fp.from_biguint(&compressed.u0);
-    let u1 = fp.from_biguint(&compressed.u1);
+    let u0 = canonical(params, &compressed.u0)?;
+    let u1 = canonical(params, &compressed.u1)?;
     let candidates = constraint_roots(params, &u0, &u1)?;
     let t = candidates
         .get(compressed.hint as usize)
@@ -159,6 +164,18 @@ pub fn decompress(
     let g = decompress_t2(params, &reconstructed)?;
     debug_assert!(params.is_torus_member(g.as_fp6()));
     Ok(g)
+}
+
+/// Decodes a transmitted coordinate, rejecting encodings `>= p` (which
+/// [`field::FpContext::from_biguint`] would silently reduce, making
+/// ciphertexts malleable).
+fn canonical(params: &CeilidhParams, v: &BigUint) -> Result<FpElement, CeilidhError> {
+    params
+        .fp()
+        .from_canonical(v)
+        .ok_or(CeilidhError::DecompressionFailed(
+            "coordinate is not below p",
+        ))
 }
 
 /// Evaluates `g = (a + γ)/(a - γ)` for `a ∈ Fp3 ⊂ Fp6`.
@@ -175,7 +192,7 @@ fn embed_fp3(params: &CeilidhParams, u0: &FpElement, u1: &FpElement, u2: &FpElem
     let fp6 = params.fp6();
     let x = fp6.zeta_plus_inverse();
     let x2 = fp6.mul(&x, &x);
-    let mut acc = fp6.from_fp(u0.clone());
+    let mut acc = fp6.from_fp(*u0);
     acc = fp6.add(&acc, &fp6.scalar_mul(&x, u1));
     fp6.add(&acc, &fp6.scalar_mul(&x2, u2))
 }
@@ -224,7 +241,7 @@ fn constraint_roots(
         let plus = fp6.norm_to_fp2(&fp6.add(&a, &gamma));
         let minus = fp6.norm_to_fp2(&fp6.sub(&a, &gamma));
         let d = fp6.sub(&plus, &minus);
-        d.coeffs().clone()
+        *d.coeffs()
     };
 
     // Interpolate each of the six coordinates of D as a quadratic in t from
@@ -239,7 +256,7 @@ fn constraint_roots(
 
     let mut polys: Vec<[FpElement; 3]> = Vec::with_capacity(6);
     for i in 0..6 {
-        let c0 = d0[i].clone();
+        let c0 = d0[i];
         let c2 = fp.mul(&fp.add(&fp.sub(&d0[i], &fp.double(&d1[i])), &d2[i]), &half);
         let c1 = fp.sub(&fp.sub(&d1[i], &d0[i]), &c2);
         polys.push([c0, c1, c2]);
@@ -399,6 +416,48 @@ mod tests {
             // ...or it selects a different (but valid) torus element.
             Ok(other) => assert!(params.is_torus_member(other.as_fp6())),
             Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+
+    #[test]
+    fn non_canonical_coordinates_are_rejected() {
+        let params = params();
+        let p = params.p().clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(64);
+        let (_, g) = params.random_subgroup_element(&mut rng);
+        let g = if g == params.identity() {
+            params.generator()
+        } else {
+            g
+        };
+        // The canonical encodings still round-trip...
+        let compressed = compress(&params, &g).unwrap();
+        assert_eq!(decompress(&params, &compressed).unwrap(), g);
+        let t2 = compress_t2(&params, &g).unwrap();
+        assert_eq!(decompress_t2(&params, &t2).unwrap(), g);
+        // ...but adding p to any coordinate — the same residue — is refused.
+        for tampered in [
+            CompressedTorus {
+                u0: &compressed.u0 + &p,
+                ..compressed.clone()
+            },
+            CompressedTorus {
+                u1: &compressed.u1 + &p,
+                ..compressed.clone()
+            },
+        ] {
+            assert!(matches!(
+                decompress(&params, &tampered),
+                Err(CeilidhError::DecompressionFailed(_))
+            ));
+        }
+        for i in 0..3 {
+            let mut tampered = t2.clone();
+            tampered.coords[i] = &tampered.coords[i] + &p;
+            assert!(matches!(
+                decompress_t2(&params, &tampered),
+                Err(CeilidhError::DecompressionFailed(_))
+            ));
         }
     }
 

@@ -202,4 +202,22 @@ mod tests {
             Err(e) => panic!("unexpected error {e}"),
         }
     }
+    #[test]
+    fn non_canonical_ephemeral_is_rejected() {
+        let (params, kp, mut rng) = setup();
+        let msg = b"one encoding per ciphertext";
+        let ct = encrypt_hybrid(&params, kp.public(), msg, &mut rng).unwrap();
+        assert_eq!(
+            decrypt_hybrid(&params, kp.secret(), &ct).unwrap(),
+            msg.to_vec()
+        );
+        // u0 + p names the same residue; accepting it would make
+        // ciphertexts malleable.
+        let mut tampered = ct.clone();
+        tampered.ephemeral.u0 = &tampered.ephemeral.u0 + params.p();
+        assert!(matches!(
+            decrypt_hybrid(&params, kp.secret(), &tampered),
+            Err(CeilidhError::DecompressionFailed(_))
+        ));
+    }
 }

@@ -7,7 +7,7 @@
 //! the "security of `Fp6`" with transmissions of two `Fp` elements.
 
 use bignum::{gen_prime_congruent, is_prime, BigUint};
-use field::{F2Repr, Fp6Context, Fp6Element, FpContext};
+use field::{F2Repr, FieldError, Fp6Context, Fp6Element, FpContext};
 use rand::Rng;
 
 use crate::error::CeilidhError;
@@ -52,12 +52,17 @@ impl CeilidhParams {
     ///
     /// # Errors
     ///
-    /// Returns [`CeilidhError::InvalidParameters`] if `p` is not ≡ 2, 5
-    /// (mod 9), if `q` is trivial, or if `q` does not divide
+    /// Returns [`CeilidhError::InvalidParameters`] if `p` is not a usable
+    /// odd prime of at most [`FpContext::MAX_BITS`] bits, if `p` is not
+    /// ≡ 2, 5 (mod 9), if `q` is trivial, or if `q` does not divide
     /// `Φ6(p) = p² - p + 1`.
     pub fn from_components(p: &BigUint, q: &BigUint) -> Result<Self, CeilidhError> {
-        let fp = FpContext::new(p)
-            .map_err(|_| CeilidhError::InvalidParameters("p is not a usable odd prime"))?;
+        let fp = FpContext::new(p).map_err(|e| {
+            CeilidhError::InvalidParameters(match e {
+                FieldError::ModulusTooWide { .. } => "p is wider than 256 bits",
+                _ => "p is not a usable odd prime",
+            })
+        })?;
         let fp6 = Fp6Context::new(fp.clone())?;
         let repr = F2Repr::new(fp.clone())?;
 
@@ -89,12 +94,20 @@ impl CeilidhParams {
     /// The search repeats until `Φ6(p)` splits as a smooth cofactor
     /// (trial division up to 100 000) times a prime `q`.
     ///
+    /// # Errors
+    ///
+    /// Returns [`CeilidhError::InvalidParameters`] up front if `bits`
+    /// exceeds [`FpContext::MAX_BITS`].
+    ///
     /// # Panics
     ///
     /// Panics if `bits < 16` (the congruence and smoothness conditions need
     /// room to be satisfiable).
     pub fn generate<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> Result<Self, CeilidhError> {
         assert!(bits >= 16, "parameter generation needs at least 16 bits");
+        if bits > FpContext::MAX_BITS {
+            return Err(CeilidhError::InvalidParameters("p is wider than 256 bits"));
+        }
         loop {
             // Alternate the two admissible residue classes.
             for residue in [2u32, 5] {

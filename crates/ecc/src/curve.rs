@@ -1,7 +1,7 @@
 //! Short-Weierstrass curves `y² = x³ + ax + b` over `Fp` and their group law.
 
 use bignum::BigUint;
-use field::{FpContext, FpElement};
+use field::{FieldError, FpContext, FpElement};
 use rand::Rng;
 
 use crate::error::EccError;
@@ -36,9 +36,8 @@ pub struct Curve {
     // Whether a ≡ -3 (mod p), precomputed so the per-doubling dispatch
     // to the shortened formulas costs a bool instead of a conversion.
     a_minus_three: bool,
-    // The stack-allocated ladder backend, present exactly when the field
-    // has a fixed-width 256-bit context (see `Curve::fixed_backend`).
-    fixed: Option<FixedCurve>,
+    // The stack-allocated ladder backend (see `Curve::fixed_backend`).
+    fixed: FixedCurve,
 }
 
 /// Explicit curve parameters with named fields — the builder behind every
@@ -179,7 +178,8 @@ impl Curve {
     /// # Errors
     ///
     /// Returns [`EccError::InvalidParameters`] naming the offending spec
-    /// field (`"p"`, `"a/b"` or `"generator"`).
+    /// field (`"p"`, `"a/b"` or `"generator"`); a prime wider than
+    /// [`FpContext::MAX_BITS`] is rejected as `"p"`.
     pub fn from_spec(spec: CurveSpec) -> Result<Self, EccError> {
         let CurveSpec {
             p,
@@ -192,9 +192,12 @@ impl Curve {
             bits,
             name,
         } = spec;
-        let fp = FpContext::new(&p).map_err(|_| EccError::InvalidParameters {
+        let fp = FpContext::new(&p).map_err(|e| EccError::InvalidParameters {
             field: "p",
-            reason: "not a usable field modulus",
+            reason: match e {
+                FieldError::ModulusTooWide { .. } => "wider than 256 bits",
+                _ => "not a usable field modulus",
+            },
         })?;
         let a = fp.from_biguint(&a);
         let b = fp.from_biguint(&b);
@@ -211,9 +214,7 @@ impl Curve {
         }
         let a_minus_three = a_is_minus_three(&fp, &a);
         let bits = bits.unwrap_or_else(|| fp.bit_len());
-        let fixed = fp
-            .fixed256()
-            .map(|ctx| FixedCurve::new(ctx.clone(), &a, a_minus_three));
+        let fixed = FixedCurve::new(fp.mont_context().clone(), &a, a_minus_three);
         let curve = Curve {
             fp: fp.clone(),
             a,
@@ -320,38 +321,11 @@ impl Curve {
         &self.b
     }
 
-    /// The stack-allocated ladder backend, present exactly when the field
-    /// prime is 256-bit (e.g. [`crate::Secp256k1`] and [`crate::P256`];
-    /// see [`field::FpContext::fixed256`]). [`Curve::scalar_mul`] uses it
-    /// automatically for double-and-add ladders; benchmarks and
+    /// The stack-allocated ladder backend, which every curve has.
+    /// [`Curve::scalar_mul`] uses it automatically; benchmarks and
     /// differential tests reach it through this accessor.
-    pub fn fixed_backend(&self) -> Option<&FixedCurve> {
-        self.fixed.as_ref()
-    }
-
-    /// A twin of this curve with every fixed-width fast path disabled:
-    /// the field context is [`field::FpContext::heap_only`] (single
-    /// products run on heap `BigUint`s, sharing the original operation
-    /// counter) and the stack-allocated ladder backend is dropped.
-    ///
-    /// This is the honest baseline for `fixed_vs_heap`-style comparisons:
-    /// with [`field::FpContext::mul`] routing through the fixed backend on
-    /// 256-bit fields, a reference ladder must run on a heap-only twin or
-    /// it would benchmark the fixed backend against itself.
-    /// [`Curve::scalar_mul_reference`] uses it internally.
-    pub fn heap_only(&self) -> Curve {
-        Curve {
-            fp: self.fp.heap_only(),
-            a: self.a.clone(),
-            b: self.b.clone(),
-            base: self.base.clone(),
-            order: self.order.clone(),
-            cofactor: self.cofactor.clone(),
-            bits: self.bits,
-            name: self.name,
-            a_minus_three: self.a_minus_three,
-            fixed: None,
-        }
+    pub fn fixed_backend(&self) -> &FixedCurve {
+        &self.fixed
     }
 
     /// The curve name.
@@ -404,7 +378,7 @@ impl Curve {
     ///
     /// Returns [`EccError::PointNotOnCurve`] if the equation is not satisfied.
     pub fn lift(&self, x: &FpElement, y: &FpElement) -> Result<AffinePoint, EccError> {
-        let p = AffinePoint::new(x.clone(), y.clone());
+        let p = AffinePoint::new(*x, *y);
         if self.is_on_curve(&p) {
             Ok(p)
         } else {
@@ -417,7 +391,7 @@ impl Curve {
         match point {
             AffinePoint::Infinity => AffinePoint::Infinity,
             AffinePoint::Point { x, y } => AffinePoint::Point {
-                x: x.clone(),
+                x: *x,
                 y: self.fp.neg(y),
             },
         }
@@ -471,8 +445,8 @@ impl Curve {
                 z: self.fp.zero(),
             },
             AffinePoint::Point { x, y } => JacobianPoint {
-                x: x.clone(),
-                y: y.clone(),
+                x: *x,
+                y: *y,
                 z: self.fp.one(),
             },
         }
@@ -729,7 +703,7 @@ impl Curve {
         );
         if rhs.is_zero() {
             return Some(AffinePoint::Point {
-                x: x.clone(),
+                x: *x,
                 y: fp.zero(),
             });
         }
@@ -739,7 +713,7 @@ impl Curve {
         } else {
             fp.neg(&y)
         };
-        Some(AffinePoint::Point { x: x.clone(), y })
+        Some(AffinePoint::Point { x: *x, y })
     }
 
     /// Finds the first point with `x >= start` by scanning x-coordinates

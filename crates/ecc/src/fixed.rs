@@ -1,19 +1,19 @@
-//! Stack-allocated scalar-multiplication backend for 256-bit curves.
+//! Stack-allocated scalar-multiplication ladders.
 //!
-//! The named 256-bit curves ([`crate::Secp256k1`], [`crate::P256`]) spend
-//! their host time in Jacobian ladder steps whose field arithmetic all
-//! funnels through heap-allocated [`bignum::BigUint`] residues. This module
-//! re-runs the *same* formulas — the general and `a = -3` "dbl-2001-b"
-//! doublings and the mixed-coordinate addition of
-//! [`crate::Curve::jacobian_double`] / [`Curve::jacobian_add_mixed`] — on
-//! [`bignum::fixed::Uint<4>`] stack words, with zero heap allocation from
-//! the first doubling through the final Fermat inversion.
+//! The Curve-level ladders pay an [`field::FpContext`] call (and an
+//! operation-counter update) per field operation. This module re-runs the
+//! *same* formulas — the general and `a = -3` "dbl-2001-b" doublings and
+//! the mixed-coordinate addition of [`crate::Curve::jacobian_double`] /
+//! [`Curve::jacobian_add_mixed`] — directly on the field's
+//! [`MontgomeryContext<4>`] and its [`bignum::fixed::Uint<4>`] stack words,
+//! with zero heap allocation from the first doubling through the final
+//! Fermat inversion, for every curve (the 160-bit reproduction curve as
+//! much as the 256-bit standards curves).
 //!
-//! Because the fixed backend shares the Montgomery radix `R = 2^256` with
-//! the field's heap parameters (see [`field::FpContext::fixed256`]), every
-//! intermediate here is the *bit-identical* Montgomery residue the heap
-//! ladder would have produced; the differential suites in `tests/` pin
-//! this.
+//! The backend computes in the field's own Montgomery context (see
+//! [`field::FpContext::mont_context`]), so every intermediate here is the
+//! *bit-identical* Montgomery residue the Curve-level ladder would have
+//! produced; the differential suites in `tests/` pin this.
 //!
 //! [`FixedCurve`] is constructed by [`Curve`] itself during
 //! [`Curve::from_spec`] — there is no public constructor — and
@@ -31,7 +31,7 @@ use crate::curve::Curve;
 use crate::point::AffinePoint;
 use crate::scalar::{naf_digits, window_digits, ScalarMulAlgorithm};
 
-/// A 256-bit residue in Montgomery form on the fixed backend.
+/// A field residue in Montgomery form on the fixed backend.
 type Residue = Uint<4>;
 
 /// Comb tooth count: each ladder step assembles one bit from each of four
@@ -54,7 +54,7 @@ struct CombTable {
 }
 
 /// A Jacobian point on the fixed backend; `z = 0` encodes infinity (with
-/// `x = y = 1` in Montgomery form, mirroring the heap convention).
+/// `x = y = 1` in Montgomery form, mirroring the Curve-level convention).
 #[derive(Clone, Copy)]
 struct JPoint {
     x: Residue,
@@ -62,12 +62,11 @@ struct JPoint {
     z: Residue,
 }
 
-/// The fixed-width ladder backend of a 256-bit [`Curve`].
+/// The fixed-width ladder backend of a [`Curve`].
 ///
-/// Holds the field's shared-radix [`MontgomeryContext`] plus the curve
-/// constants the doubling formulas need, all as stack values. Built by
-/// [`Curve::from_spec`] exactly when the field has a
-/// [`field::FpContext::fixed256`] backend; retrieved via
+/// Holds the field's [`MontgomeryContext`] plus the curve constants the
+/// doubling formulas need, all as stack values. Built by
+/// [`Curve::from_spec`] for every curve; retrieved via
 /// [`Curve::fixed_backend`].
 #[derive(Clone, Debug)]
 pub struct FixedCurve {
@@ -90,8 +89,7 @@ impl FixedCurve {
     /// Builds the backend from the field context and curve coefficient.
     /// Crate-internal: curves construct this in [`Curve::from_spec`].
     pub(crate) fn new(ctx: MontgomeryContext<4>, a: &FpElement, a_is_minus_three: bool) -> Self {
-        let a_mont = Residue::from_biguint(a.mont_repr())
-            .expect("Montgomery residue of a 256-bit field fits in 4 limbs");
+        let a_mont = *a.mont_repr();
         let three_mont = ctx.to_mont(&Uint::from_u64(3));
         FixedCurve {
             ctx,
@@ -102,8 +100,8 @@ impl FixedCurve {
         }
     }
 
-    /// The fixed-width Montgomery context this backend computes in (shared
-    /// radix with the curve's [`field::FpContext`]).
+    /// The fixed-width Montgomery context this backend computes in (the
+    /// curve's [`field::FpContext::mont_context`]).
     pub fn context(&self) -> &MontgomeryContext<4> {
         &self.ctx
     }
@@ -259,7 +257,7 @@ impl FixedCurve {
     }
 
     /// Left-to-right double-and-add ladder on Montgomery-form affine
-    /// coordinates, mirroring the heap `double_and_add` step for step.
+    /// coordinates, mirroring the Curve-level `double_and_add` step for step.
     /// `None` is the point at infinity. Performs no heap allocation.
     pub fn scalar_mul(
         &self,
@@ -280,7 +278,7 @@ impl FixedCurve {
     /// The signed-digit NAF ladder accumulated in Jacobian form; both
     /// addends (`±P`) are affine, so every addition is a mixed addition.
     /// Uses the **shared** recoding ([`crate::scalar::naf_digits`]) so the
-    /// fixed and heap ladders can never diverge on digit sequences.
+    /// fixed and Curve-level ladders can never diverge on digit sequences.
     fn naf_ladder(&self, x_mont: &Residue, y_mont: &Residue, k: &Residue) -> JPoint {
         let digits = naf_digits(&k.to_biguint());
         let neg_y = neg_mod(y_mont, self.ctx.modulus());
@@ -523,10 +521,7 @@ impl FixedCurve {
 /// Lowers a finite affine point and a ≤256-bit scalar to fixed residues.
 fn to_fixed_request(point: &AffinePoint, k: &BigUint) -> Option<(Residue, Residue, Residue)> {
     let (x, y) = point.coordinates()?;
-    let k = Residue::from_biguint(k)?;
-    let x = Residue::from_biguint(x.mont_repr()).expect("256-bit field residue fits in 4 limbs");
-    let y = Residue::from_biguint(y.mont_repr()).expect("256-bit field residue fits in 4 limbs");
-    Some((x, y, k))
+    Some((*x.mont_repr(), *y.mont_repr(), Residue::from_biguint(k)?))
 }
 
 /// Lifts a fixed ladder result back into the typed point representation.
@@ -534,22 +529,22 @@ fn from_fixed_result(result: Option<(Residue, Residue)>) -> AffinePoint {
     match result {
         None => AffinePoint::Infinity,
         Some((x, y)) => AffinePoint::Point {
-            x: FpElement::from_mont_repr(x.to_biguint()),
-            y: FpElement::from_mont_repr(y.to_biguint()),
+            x: FpElement::from_mont_repr(x),
+            y: FpElement::from_mont_repr(y),
         },
     }
 }
 
 impl Curve {
     /// Algorithm-dispatching fixed-backend entry, used when possible: the
-    /// curve has a fixed backend, the point is finite, and the scalar fits
-    /// in 256 bits — `None` when any precondition fails so the caller
-    /// falls back to the heap ladder. Double-and-add and NAF map to their
+    /// point is finite and the scalar fits in 256 bits — `None` when either
+    /// precondition fails so the caller falls back to the Curve-level
+    /// ladder. Double-and-add and NAF map to their
     /// fixed ladders, and `Window4` maps to the cached fixed-base comb
     /// when `point` is the curve's base point (the repeated-base case the
     /// comb's one-time table pays for) and to the per-call
     /// batch-normalized window ladder otherwise. All paths are
-    /// result-identical to the heap ladders because affine coordinates of
+    /// result-identical to the Curve-level ladders because affine coordinates of
     /// `k · point` are unique.
     pub(crate) fn fixed_scalar_mul_with(
         &self,
@@ -557,7 +552,7 @@ impl Curve {
         k: &BigUint,
         algorithm: ScalarMulAlgorithm,
     ) -> Option<AffinePoint> {
-        let backend = self.fixed_backend()?;
+        let backend = self.fixed_backend();
         let (x, y, k) = to_fixed_request(point, k)?;
         Some(from_fixed_result(match algorithm {
             ScalarMulAlgorithm::DoubleAndAdd => backend.scalar_mul(&x, &y, &k),
@@ -574,30 +569,28 @@ impl Curve {
 
     /// Computes `k_i · P_i` for a whole batch of requests, amortizing host
     /// wall-clock the way [`Curve::scalar_mul`] cannot: fixed-eligible
-    /// requests (256-bit curve, finite point, ≤256-bit scalar) run through
+    /// requests (finite point, ≤256-bit scalar) run through
     /// [`FixedCurve::scalar_mul_batch`] — NAF/comb ladders with one shared
     /// final batch inversion — and anything else falls back to the serial
     /// path, mirroring `scalar_mul`'s own dispatch. Every element is
     /// identical to a serial `scalar_mul` call on the same request.
     pub fn scalar_mul_batch(&self, requests: &[(AffinePoint, BigUint)]) -> Vec<AffinePoint> {
         let mut out: Vec<Option<AffinePoint>> = vec![None; requests.len()];
-        if let Some(backend) = self.fixed_backend() {
-            let mut slots = Vec::new();
-            let mut fixed_requests = Vec::new();
-            for (i, (point, k)) in requests.iter().enumerate() {
-                if k.is_zero() || point.is_infinity() {
-                    out[i] = Some(AffinePoint::Infinity);
-                } else if let Some(request) = to_fixed_request(point, k) {
-                    slots.push(i);
-                    fixed_requests.push(request);
-                }
+        let mut slots = Vec::new();
+        let mut fixed_requests = Vec::new();
+        for (i, (point, k)) in requests.iter().enumerate() {
+            if k.is_zero() || point.is_infinity() {
+                out[i] = Some(AffinePoint::Infinity);
+            } else if let Some(request) = to_fixed_request(point, k) {
+                slots.push(i);
+                fixed_requests.push(request);
             }
-            for (i, result) in slots
-                .into_iter()
-                .zip(backend.scalar_mul_batch(&fixed_requests))
-            {
-                out[i] = Some(from_fixed_result(result));
-            }
+        }
+        for (i, result) in slots
+            .into_iter()
+            .zip(self.fixed_backend().scalar_mul_batch(&fixed_requests))
+        {
+            out[i] = Some(from_fixed_result(result));
         }
         for (i, (point, k)) in requests.iter().enumerate() {
             if out[i].is_none() {

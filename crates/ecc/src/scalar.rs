@@ -38,15 +38,15 @@ pub enum ScalarMulAlgorithm {
 impl Curve {
     /// Computes `k · point` with the selected algorithm.
     ///
-    /// On 256-bit curves every algorithm runs on the stack-allocated fixed
-    /// backend ([`Curve::fixed_backend`]): double-and-add and NAF map to
-    /// their fixed ladders, and `Window4` maps to the cached fixed-base
-    /// comb for the curve's base point (or a per-call batch-normalized
-    /// window table for arbitrary points). All results are bit-identical
-    /// to the heap ladders ([`Curve::scalar_mul_reference`] pins this):
-    /// the fixed backend shares the Montgomery radix, and the affine
-    /// coordinates of `k · point` are unique whatever ladder computed
-    /// them.
+    /// Scalars of up to 256 bits run on the stack-allocated fixed backend
+    /// ([`Curve::fixed_backend`]): double-and-add and NAF map to their
+    /// fixed ladders, and `Window4` maps to the cached fixed-base comb for
+    /// the curve's base point (or a per-call batch-normalized window table
+    /// for arbitrary points); wider scalars take the Curve-level ladder.
+    /// All results are bit-identical to the Curve-level ladders
+    /// ([`Curve::scalar_mul_reference`] pins this): both compute in the
+    /// field's Montgomery context, and the affine coordinates of
+    /// `k · point` are unique whatever ladder computed them.
     pub fn scalar_mul(
         &self,
         point: &AffinePoint,
@@ -62,13 +62,10 @@ impl Curve {
         self.scalar_mul_reference(point, k, algorithm)
     }
 
-    /// Computes `k · point` on the heap (`BigUint`) ladder unconditionally
-    /// — the pre-fixed-backend behaviour, kept as the differential baseline
-    /// for tests and the `fixed_vs_heap` benchmark. The whole ladder
-    /// (formulas *and* single field products) runs on a
-    /// [`Curve::heap_only`] twin, so the baseline stays honest now that
-    /// [`field::FpContext::mul`] itself routes 256-bit products through
-    /// the fixed backend. [`Curve::scalar_mul`] is the fast path; results
+    /// Computes `k · point` on the Curve-level ladder unconditionally: the
+    /// formulas of [`Curve::jacobian_double`] / [`Curve::jacobian_add_mixed`]
+    /// through counted [`field::FpContext`] calls. It is the differential
+    /// baseline that pins [`Curve::scalar_mul`]'s fixed backend; results
     /// are identical.
     pub fn scalar_mul_reference(
         &self,
@@ -79,13 +76,12 @@ impl Curve {
         if k.is_zero() || point.is_infinity() {
             return AffinePoint::Infinity;
         }
-        let heap = self.heap_only();
         let result = match algorithm {
-            ScalarMulAlgorithm::DoubleAndAdd => double_and_add(&heap, point, k),
-            ScalarMulAlgorithm::Naf => naf_mul(&heap, point, k),
-            ScalarMulAlgorithm::Window4 => window_mul(&heap, point, k, 4),
+            ScalarMulAlgorithm::DoubleAndAdd => double_and_add(self, point, k),
+            ScalarMulAlgorithm::Naf => naf_mul(self, point, k),
+            ScalarMulAlgorithm::Window4 => window_mul(self, point, k, 4),
         };
-        heap.to_affine(&result)
+        self.to_affine(&result)
     }
 
     /// Computes `k · base_point` with the default algorithm (double-and-add,
@@ -117,7 +113,7 @@ impl Curve {
             chain.push(acc.clone());
         }
         let fp = self.fp();
-        let zs: Vec<_> = chain.iter().map(|p| p.z.clone()).collect();
+        let zs: Vec<_> = chain.iter().map(|p| p.z).collect();
         let z_invs = fp.inv_batch(&zs);
         let mut table = Vec::with_capacity(table_len);
         table.push(AffinePoint::Infinity);
@@ -228,7 +224,7 @@ pub fn affine_window_table(curve: &Curve, point: &AffinePoint, window: usize) ->
 }
 
 /// Splits `k` into unsigned `window`-bit digits, least-significant digit
-/// first — the **shared** recoding used by both the heap and fixed windowed
+/// first — the **shared** recoding used by both the Curve-level and fixed windowed
 /// ladders (and the batch window tables), so the two backends can never
 /// diverge on digit sequences.
 pub fn window_digits(k: &BigUint, window: usize) -> Vec<usize> {
@@ -344,23 +340,22 @@ mod tests {
     }
 
     #[test]
-    fn reference_ladder_runs_heap_only_and_matches_the_fast_path() {
-        let curve = Curve::by_name("secp256k1").unwrap();
-        assert!(curve.fixed_backend().is_some());
-        let heap = curve.heap_only();
-        assert!(heap.fixed_backend().is_none());
-        assert!(heap.fp().fixed256().is_none());
+    fn reference_ladder_matches_the_fixed_backend() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(16);
-        for _ in 0..3 {
-            let k = BigUint::random_bits(&mut rng, 256);
-            let fast = curve.scalar_mul(curve.base_point(), &k, ScalarMulAlgorithm::DoubleAndAdd);
-            let reference = curve.scalar_mul_reference(
-                curve.base_point(),
-                &k,
-                ScalarMulAlgorithm::DoubleAndAdd,
-            );
-            assert_eq!(fast, reference);
-            assert!(curve.is_on_curve(&reference));
+        for name in ["secp256k1", "p160"] {
+            let curve = Curve::by_name(name).unwrap();
+            for _ in 0..3 {
+                let k = BigUint::random_bits(&mut rng, curve.bits());
+                let fast =
+                    curve.scalar_mul(curve.base_point(), &k, ScalarMulAlgorithm::DoubleAndAdd);
+                let reference = curve.scalar_mul_reference(
+                    curve.base_point(),
+                    &k,
+                    ScalarMulAlgorithm::DoubleAndAdd,
+                );
+                assert_eq!(fast, reference, "{name}");
+                assert!(curve.is_on_curve(&reference));
+            }
         }
     }
 
@@ -382,7 +377,6 @@ mod tests {
     #[test]
     fn fixed_ladders_and_batch_match_heap_reference_on_secp256k1() {
         let curve = Curve::by_name("secp256k1").unwrap();
-        assert!(curve.fixed_backend().is_some());
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let base = curve.base_point().clone();
         let other = curve.random_point(&mut rng);
@@ -393,7 +387,7 @@ mod tests {
             BigUint::random_bits(&mut rng, 256),
         ];
         // Every fixed ladder (D&A, NAF, comb-on-base, window-on-arbitrary)
-        // must be bit-identical to the heap reference ladder.
+        // must be bit-identical to the Curve-level reference ladder.
         for point in [&base, &other] {
             for k in &scalars {
                 let reference =

@@ -9,6 +9,12 @@ use std::fmt;
 pub enum FieldError {
     /// The modulus is not usable as a field characteristic (even, zero or one).
     InvalidModulus,
+    /// The modulus is wider than the 256-bit field backend
+    /// ([`FpContext::MAX_BITS`](crate::FpContext::MAX_BITS)).
+    ModulusTooWide {
+        /// Bit length of the rejected modulus.
+        bits: usize,
+    },
     /// The prime does not satisfy the congruence required by the extension
     /// (e.g. `p ≡ 2 mod 3` for `Fp2`, `p ≡ 2, 5 mod 9` for `Fp3`/`Fp6`).
     UnsupportedCongruence {
@@ -29,6 +35,12 @@ impl fmt::Display for FieldError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FieldError::InvalidModulus => write!(f, "modulus is not an odd prime greater than 3"),
+            FieldError::ModulusTooWide { bits } => {
+                write!(
+                    f,
+                    "modulus of {bits} bits exceeds the 256-bit field backend"
+                )
+            }
             FieldError::UnsupportedCongruence {
                 modulus,
                 expected,
@@ -59,6 +71,9 @@ mod tests {
         };
         assert!(e.to_string().contains("mod 9"));
         assert!(FieldError::DivisionByZero.to_string().contains("zero"));
+        assert!(FieldError::ModulusTooWide { bits: 257 }
+            .to_string()
+            .contains("257 bits"));
         assert!(FieldError::NotInSubgroup.to_string().contains("subgroup"));
     }
 }

@@ -98,7 +98,7 @@ impl F2Repr {
         let mut to_f1 = FpMatrix::zero(&fp, 6, 6);
         for (col, e) in basis.iter().enumerate() {
             for (row, coeff) in e.coeffs().iter().enumerate() {
-                to_f1.set(row, col, coeff.clone());
+                to_f1.set(row, col, *coeff);
             }
         }
         let to_f2 = to_f1.inverse()?;
@@ -160,12 +160,8 @@ impl F2Repr {
         let coords: Vec<FpElement> = a.coeffs().to_vec();
         let out = self.to_f2.mul_vec(&coords);
         F2Element {
-            u: self
-                .fp3
-                .from_coeffs([out[0].clone(), out[1].clone(), out[2].clone()]),
-            v: self
-                .fp3
-                .from_coeffs([out[3].clone(), out[4].clone(), out[5].clone()]),
+            u: self.fp3.from_coeffs([out[0], out[1], out[2]]),
+            v: self.fp3.from_coeffs([out[3], out[4], out[5]]),
         }
     }
 
@@ -178,8 +174,7 @@ impl F2Repr {
                 .cloned()
                 .collect();
         let out = self.to_f1.mul_vec(&coords);
-        self.fp6
-            .from_coeffs(std::array::from_fn(|i| out[i].clone()))
+        self.fp6.from_coeffs(std::array::from_fn(|i| out[i]))
     }
 
     /// Addition.

@@ -3,19 +3,28 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bignum::fixed::{MontgomeryContext, Uint};
-use bignum::{BigUint, MontgomeryParams};
+use bignum::fixed::{add_mod, neg_mod, sub_mod, MontgomeryContext, Uint};
+use bignum::BigUint;
 use rand::Rng;
 
 use crate::error::FieldError;
 use crate::opcount::{OpCount, OpCounter};
 
-/// Context for arithmetic in the prime field `Fp`.
+/// The stack word every field element is stored in: four 64-bit limbs.
+type Residue = Uint<4>;
+
+/// Context for arithmetic in the prime field `Fp`, for any odd modulus of
+/// at most [`FpContext::MAX_BITS`] bits.
 ///
 /// All elements are kept in Montgomery form internally (mirroring the
 /// coprocessor, which works on Montgomery residues throughout an
 /// exponentiation), and every multiplication / addition / subtraction /
 /// inversion is recorded in the context's [`OpCounter`].
+///
+/// Every modulus shares one fixed-limb backend: a
+/// [`MontgomeryContext<4>`] with radix `R = 2^256`, whatever the bit
+/// length of `p`. Elements are stack [`Uint<4>`] values, so the
+/// arithmetic never touches the heap.
 ///
 /// Cloning the context is cheap and clones share the same counter.
 ///
@@ -40,23 +49,33 @@ pub struct FpContext {
 
 struct FpInner {
     modulus: BigUint,
-    mont: MontgomeryParams,
-    /// Fixed-width fast backend for 256-bit primes. Populated exactly when
-    /// the heap parameters use 8 u32 limbs, so both backends share the
-    /// Montgomery radix `R = 2^256` and representations are
-    /// interchangeable (see [`bignum::fixed::MontgomeryContext`]).
-    fixed256: Option<MontgomeryContext<4>>,
+    mont: MontgomeryContext<4>,
+    /// `(p - 1) / 2`, Euler's criterion exponent.
+    legendre_exp: Residue,
+    sqrt: SqrtPlan,
     counter: Arc<OpCounter>,
 }
 
-/// An element of `Fp`, stored in Montgomery form.
+/// The exponents [`FpContext::sqrt`] raises to, fixed per modulus.
+enum SqrtPlan {
+    /// `p ≡ 3 (mod 4)`: the root is `a^((p+1)/4)`.
+    ThreeModFour { exp: Residue },
+    /// Tonelli–Shanks with `p - 1 = q · 2^s`, `q` odd; `r_exp = (q+1)/2`.
+    TonelliShanks {
+        s: usize,
+        q: Residue,
+        r_exp: Residue,
+    },
+}
+
+/// An element of `Fp`, stored in Montgomery form (`a · 2^256 mod p`) on a
+/// stack [`Uint<4>`].
 ///
 /// Elements do not carry a back-reference to their context; mixing elements
-/// from different [`FpContext`]s is a logic error (debug builds may panic on
-/// limb-length mismatches).
-#[derive(Clone, PartialEq, Eq, Hash)]
+/// from different [`FpContext`]s is a logic error.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FpElement {
-    mont: BigUint,
+    mont: Residue,
 }
 
 impl FpElement {
@@ -65,51 +84,70 @@ impl FpElement {
         self.mont.is_zero()
     }
 
-    /// Raw Montgomery-form representation (used by the platform simulator to
-    /// load operands into the coprocessor data memory).
-    pub fn mont_repr(&self) -> &BigUint {
+    /// Raw Montgomery-form residue (`a · 2^256 mod p`), for code that runs
+    /// whole ladders on the context's [`FpContext::mont_context`].
+    pub fn mont_repr(&self) -> &Uint<4> {
         &self.mont
     }
 
-    /// Constructs an element directly from a Montgomery-form residue.
-    ///
-    /// This is the inverse of [`FpElement::mont_repr`] and is intended for
-    /// the platform simulator; normal users should go through
-    /// [`FpContext::from_biguint`].
-    pub fn from_mont_repr(mont: BigUint) -> Self {
+    /// Constructs an element directly from a reduced Montgomery-form
+    /// residue — the inverse of [`FpElement::mont_repr`].
+    pub fn from_mont_repr(mont: Uint<4>) -> Self {
         FpElement { mont }
     }
 }
 
 impl fmt::Debug for FpElement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FpElement(mont=0x{})", self.mont.to_hex())
+        write!(f, "FpElement(mont=0x{})", self.mont)
     }
 }
 
 impl FpContext {
+    /// The widest supported modulus, in bits: the four-limb backend's
+    /// width.
+    pub const MAX_BITS: usize = Residue::BITS;
+
     /// Creates a context for the field of integers modulo `p`.
     ///
-    /// `p` must be odd and greater than 3; primality is the caller's
-    /// responsibility (parameter generation in the `ceilidh` crate uses
-    /// [`bignum::is_prime`]).
+    /// `p` must be odd, greater than 3 and at most [`FpContext::MAX_BITS`]
+    /// bits wide; primality is the caller's responsibility (parameter
+    /// generation in the `ceilidh` crate uses [`bignum::is_prime`]).
     ///
     /// # Errors
     ///
-    /// Returns [`FieldError::InvalidModulus`] if `p` is even or `<= 3`.
+    /// Returns [`FieldError::InvalidModulus`] if `p` is even or `<= 3`, and
+    /// [`FieldError::ModulusTooWide`] if `p` has more than 256 bits.
     pub fn new(p: &BigUint) -> Result<Self, FieldError> {
         if p.is_even() || *p <= BigUint::from(3u64) {
             return Err(FieldError::InvalidModulus);
         }
-        let mont = MontgomeryParams::new(p).ok_or(FieldError::InvalidModulus)?;
-        let fixed256 = (mont.num_limbs() == 8)
-            .then(|| MontgomeryContext::new(p))
-            .flatten();
+        if p.bit_len() > Self::MAX_BITS {
+            return Err(FieldError::ModulusTooWide { bits: p.bit_len() });
+        }
+        let mont = MontgomeryContext::new(p).ok_or(FieldError::InvalidModulus)?;
+        let fits = |v: BigUint| Residue::from_biguint(&v).expect("at most p, so fits");
+        let one = BigUint::one();
+        let p_minus_one = p - &one;
+        let s = p_minus_one.trailing_zeros();
+        let sqrt = if s == 1 {
+            SqrtPlan::ThreeModFour {
+                exp: fits((p + &one).shr_bits(2)),
+            }
+        } else {
+            let q = p_minus_one.shr_bits(s);
+            SqrtPlan::TonelliShanks {
+                s,
+                r_exp: fits((&q + &one).shr_bits(1)),
+                q: fits(q),
+            }
+        };
         Ok(FpContext {
             inner: Arc::new(FpInner {
                 modulus: p.clone(),
                 mont,
-                fixed256,
+                legendre_exp: fits(p_minus_one.shr_bits(1)),
+                sqrt,
                 counter: OpCounter::new(),
             }),
         })
@@ -132,44 +170,10 @@ impl FpContext {
             .unwrap_or(0) as u32
     }
 
-    /// The Montgomery parameters backing this field (exposed for the
-    /// platform simulator, which replays the same constants in microcode).
-    pub fn montgomery(&self) -> &MontgomeryParams {
+    /// The Montgomery context every element lives in (`R = 2^256`).
+    /// `ecc` runs whole scalar-multiplication ladders on it.
+    pub fn mont_context(&self) -> &MontgomeryContext<4> {
         &self.inner.mont
-    }
-
-    /// The fixed-width (4×u64 limb) Montgomery context backing this field,
-    /// when the modulus is a 256-bit prime — `None` otherwise.
-    ///
-    /// The fixed backend shares the Montgomery radix `R = 2^256` with
-    /// [`FpContext::montgomery`], so an [`FpElement`]'s `mont_repr` is also
-    /// its fixed-backend Montgomery form (only the limb packing differs).
-    /// [`FpContext::mul`]/[`FpContext::square`] single products and the
-    /// [`FpContext::exp`] / [`FpContext::inv`] square-and-multiply loops
-    /// all route through it automatically; `ecc` uses this accessor to run
-    /// whole scalar-mult ladders on the stack. A context built by
-    /// [`FpContext::heap_only`] opts out, which is how the benchmark
-    /// baselines stay on the `BigUint` path.
-    pub fn fixed256(&self) -> Option<&MontgomeryContext<4>> {
-        self.inner.fixed256.as_ref()
-    }
-
-    /// A twin of this context with the fixed-width backend disabled: same
-    /// modulus, same Montgomery constants, and the **same shared operation
-    /// counter**, but every product runs on the heap `BigUint` path.
-    ///
-    /// This exists for honest baselines: `fixed_vs_heap` benches and
-    /// `scalar_mul_reference` must measure the heap implementation, not the
-    /// fixed backend against itself.
-    pub fn heap_only(&self) -> FpContext {
-        FpContext {
-            inner: Arc::new(FpInner {
-                modulus: self.inner.modulus.clone(),
-                mont: self.inner.mont.clone(),
-                fixed256: None,
-                counter: Arc::clone(&self.inner.counter),
-            }),
-        }
     }
 
     /// The shared operation counter.
@@ -190,7 +194,7 @@ impl FpContext {
     /// The additive identity.
     pub fn zero(&self) -> FpElement {
         FpElement {
-            mont: BigUint::zero(),
+            mont: Residue::ZERO,
         }
     }
 
@@ -201,16 +205,31 @@ impl FpContext {
         }
     }
 
-    /// Embeds an arbitrary integer (reduced modulo `p`).
+    /// Embeds an arbitrary integer, of any width, reduced modulo `p`.
     pub fn from_biguint(&self, v: &BigUint) -> FpElement {
+        let v = match Residue::from_biguint(v) {
+            Some(v) => v,
+            None => Residue::from_biguint(&(v % &self.inner.modulus)).expect("below p, so fits"),
+        };
         FpElement {
-            mont: self.inner.mont.to_mont(v),
+            mont: self.inner.mont.to_mont(&v),
         }
+    }
+
+    /// Embeds a canonical encoding: `None` unless `0 <= v < p`.
+    ///
+    /// Decoders of untrusted input use this instead of
+    /// [`FpContext::from_biguint`], which silently reduces and so would
+    /// accept `v + p` as another encoding of `v`.
+    pub fn from_canonical(&self, v: &BigUint) -> Option<FpElement> {
+        (*v < self.inner.modulus).then(|| self.from_biguint(v))
     }
 
     /// Embeds a small integer.
     pub fn from_u64(&self, v: u64) -> FpElement {
-        self.from_biguint(&BigUint::from(v))
+        FpElement {
+            mont: self.inner.mont.to_mont(&Residue::from_u64(v)),
+        }
     }
 
     /// Embeds a signed small integer (negative values wrap modulo `p`).
@@ -224,7 +243,7 @@ impl FpContext {
 
     /// Returns the canonical (non-Montgomery) residue of an element.
     pub fn to_biguint(&self, a: &FpElement) -> BigUint {
-        self.inner.mont.from_mont(&a.mont)
+        self.inner.mont.from_mont(&a.mont).to_biguint()
     }
 
     /// Uniformly random field element.
@@ -235,13 +254,8 @@ impl FpContext {
     /// Modular addition.
     pub fn add(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.inner.counter.record_add();
-        let s = &a.mont + &b.mont;
         FpElement {
-            mont: if s >= self.inner.modulus {
-                &s - &self.inner.modulus
-            } else {
-                s
-            },
+            mont: add_mod(&a.mont, &b.mont, self.inner.mont.modulus()),
         }
     }
 
@@ -249,11 +263,7 @@ impl FpContext {
     pub fn sub(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.inner.counter.record_sub();
         FpElement {
-            mont: if a.mont >= b.mont {
-                &a.mont - &b.mont
-            } else {
-                &(&a.mont + &self.inner.modulus) - &b.mont
-            },
+            mont: sub_mod(&a.mont, &b.mont, self.inner.mont.modulus()),
         }
     }
 
@@ -264,7 +274,7 @@ impl FpContext {
         }
         self.inner.counter.record_sub();
         FpElement {
-            mont: &self.inner.modulus - &a.mont,
+            mont: neg_mod(&a.mont, self.inner.mont.modulus()),
         }
     }
 
@@ -274,22 +284,8 @@ impl FpContext {
     }
 
     /// Modular multiplication (one Montgomery multiplication).
-    ///
-    /// For 256-bit primes the product runs on the fixed-width backend;
-    /// residues are bit-identical to the heap path because both backends
-    /// share the Montgomery radix.
     pub fn mul(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.inner.counter.record_mul();
-        if let Some(ctx) = self.inner.fixed256.as_ref() {
-            if let (Some(a_f), Some(b_f)) = (
-                Uint::<4>::from_biguint(&a.mont),
-                Uint::<4>::from_biguint(&b.mont),
-            ) {
-                return FpElement {
-                    mont: ctx.mont_mul(&a_f, &b_f).to_biguint(),
-                };
-            }
-        }
         FpElement {
             mont: self.inner.mont.mont_mul(&a.mont, &b.mont),
         }
@@ -310,45 +306,39 @@ impl FpContext {
         acc
     }
 
-    /// Modular exponentiation by square-and-multiply.
-    ///
-    /// For 256-bit primes the whole loop runs on the fixed-width backend
-    /// (no heap allocation per step); the recorded operation counts and the
-    /// result are identical to the heap path.
+    /// Modular exponentiation by square-and-multiply; the exponent may
+    /// have any width.
     pub fn exp(&self, base: &FpElement, exp: &BigUint) -> FpElement {
-        if let Some(ctx) = self.inner.fixed256.as_ref() {
-            if let Some(base_f) = Uint::<4>::from_biguint(&base.mont) {
-                let mut acc = ctx.one_mont();
-                for i in (0..exp.bit_len()).rev() {
-                    self.inner.counter.record_mul();
-                    acc = ctx.mont_mul(&acc, &acc);
-                    if exp.bit(i) {
-                        self.inner.counter.record_mul();
-                        acc = ctx.mont_mul(&acc, &base_f);
-                    }
-                }
-                return FpElement {
-                    mont: acc.to_biguint(),
-                };
+        self.pow_bits(base, exp.bit_len(), |i| exp.bit(i))
+    }
+
+    /// Left-to-right square-and-multiply over exponent bits `len - 1 ..= 0`,
+    /// recording one multiplication per squaring and per set bit.
+    fn pow_bits(&self, base: &FpElement, len: usize, bit: impl Fn(usize) -> bool) -> FpElement {
+        let ctx = &self.inner.mont;
+        let mut acc = ctx.one_mont();
+        for i in (0..len).rev() {
+            self.inner.counter.record_mul();
+            acc = ctx.mont_mul(&acc, &acc);
+            if bit(i) {
+                self.inner.counter.record_mul();
+                acc = ctx.mont_mul(&acc, &base.mont);
             }
         }
-        let mut acc = self.one();
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.square(&acc);
-            if exp.bit(i) {
-                acc = self.mul(&acc, base);
-            }
-        }
-        acc
+        FpElement { mont: acc }
+    }
+
+    /// [`FpContext::exp`] with a fixed-width exponent.
+    fn pow(&self, base: &FpElement, exp: &Residue) -> FpElement {
+        self.pow_bits(base, exp.bit_len(), |i| exp.bit(i))
     }
 
     /// Batched modular exponentiation: `out[i] = pairs[i].0 ^ pairs[i].1`.
     ///
-    /// On 256-bit primes the squaring ladders run **lane-parallel** on the
-    /// fixed backend ([`bignum::fixed::MontgomeryContext::mont_pow_batch`],
-    /// four lanes per pass) so batch traffic amortizes host wall-clock; a
-    /// trailing partial chunk — and every element on non-256-bit fields or
-    /// with an exponent wider than 256 bits — falls back to the serial
+    /// The squaring ladders run **lane-parallel**
+    /// ([`MontgomeryContext::mont_pow_batch`], four lanes per pass) so batch
+    /// traffic amortizes host wall-clock; a trailing partial chunk — and
+    /// every exponent wider than 256 bits — falls back to the serial
     /// [`FpContext::exp`] loop.
     ///
     /// Results are bit-identical to calling `exp` element by element, and
@@ -358,36 +348,24 @@ impl FpContext {
     pub fn exp_batch(&self, pairs: &[(FpElement, BigUint)]) -> Vec<FpElement> {
         const LANES: usize = 4;
         let mut out: Vec<Option<FpElement>> = vec![None; pairs.len()];
-        let mut lanes: Vec<(usize, Uint<4>, Uint<4>)> = Vec::new();
-        if let Some(ctx) = self.inner.fixed256.as_ref() {
-            for (i, (base, exp)) in pairs.iter().enumerate() {
-                if let (Some(b), Some(e)) = (
-                    Uint::<4>::from_biguint(&base.mont),
-                    Uint::<4>::from_biguint(exp),
-                ) {
-                    lanes.push((i, b, e));
-                }
-            }
-            for group in lanes.chunks(LANES) {
-                if let [l0, l1, l2, l3] = group {
-                    let pow =
-                        ctx.mont_pow_batch(&[l0.1, l1.1, l2.1, l3.1], &[l0.2, l1.2, l2.2, l3.2]);
-                    for (lane, (i, _, _)) in group.iter().enumerate() {
-                        self.record_serial_exp_ops(&pairs[*i].1);
-                        out[*i] = Some(FpElement {
-                            mont: pow[lane].to_biguint(),
-                        });
-                    }
-                }
+        let lanes: Vec<(usize, Residue)> = pairs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (_, exp))| Some((i, Residue::from_biguint(exp)?)))
+            .collect();
+        for group in lanes.chunks_exact(LANES) {
+            let bases = std::array::from_fn(|l| pairs[group[l].0].0.mont);
+            let exps = std::array::from_fn(|l| group[l].1);
+            let pow = self.inner.mont.mont_pow_batch::<LANES>(&bases, &exps);
+            for (&(i, _), mont) in group.iter().zip(pow) {
+                self.record_serial_exp_ops(&pairs[i].1);
+                out[i] = Some(FpElement { mont });
             }
         }
-        for (i, (base, exp)) in pairs.iter().enumerate() {
-            if out[i].is_none() {
-                out[i] = Some(self.exp(base, exp));
-            }
-        }
-        out.into_iter()
-            .map(|e| e.expect("every slot filled"))
+        pairs
+            .iter()
+            .zip(out)
+            .map(|((base, exp), done)| done.unwrap_or_else(|| self.exp(base, exp)))
             .collect()
     }
 
@@ -412,88 +390,30 @@ impl FpContext {
     /// element, and so are the recorded operation counts: one inversion
     /// per non-zero element and no multiplications — inversion stays its
     /// own primitive (the trick's internal products are host bookkeeping,
-    /// not modeled field work). On 256-bit primes the chain runs on the
-    /// fixed backend; other fields use the heap Montgomery parameters.
+    /// not modeled field work).
     pub fn inv_batch(&self, elems: &[FpElement]) -> Vec<Option<FpElement>> {
         let live: Vec<usize> = (0..elems.len()).filter(|&i| !elems[i].is_zero()).collect();
         for _ in &live {
             self.inner.counter.record_inv();
         }
+        let mut values: Vec<Residue> = live.iter().map(|&i| elems[i].mont).collect();
+        let mut scratch = vec![Residue::ZERO; values.len()];
+        let ok = self.inner.mont.mont_inv_batch(&mut values, &mut scratch);
+        debug_assert!(ok, "non-zero elements invert");
         let mut out: Vec<Option<FpElement>> = vec![None; elems.len()];
-        if live.is_empty() {
-            return out;
+        for (&slot, mont) in live.iter().zip(values) {
+            out[slot] = Some(FpElement { mont });
         }
-        if let Some(ctx) = self.inner.fixed256.as_ref() {
-            let mut values: Vec<Uint<4>> = live
-                .iter()
-                .map(|&i| {
-                    Uint::<4>::from_biguint(&elems[i].mont)
-                        .expect("256-bit field residue fits in 4 limbs")
-                })
-                .collect();
-            let mut scratch = vec![Uint::<4>::ZERO; values.len()];
-            let ok = ctx.mont_inv_batch(&mut values, &mut scratch);
-            debug_assert!(ok, "non-zero elements invert");
-            for (slot, inv) in live.iter().zip(values) {
-                out[*slot] = Some(FpElement {
-                    mont: inv.to_biguint(),
-                });
-            }
-            return out;
-        }
-        // Heap path: the same prefix-product chain on the raw Montgomery
-        // parameters (deliberately uncounted — see the doc note above).
-        let mont = &self.inner.mont;
-        let mut prefix: Vec<BigUint> = Vec::with_capacity(live.len());
-        for &i in &live {
-            prefix.push(match prefix.last() {
-                None => elems[i].mont.clone(),
-                Some(acc) => mont.mont_mul(acc, &elems[i].mont),
-            });
-        }
-        let exp = &self.inner.modulus - &BigUint::from(2u64);
-        let mut inv = mont.mont_pow(prefix.last().expect("live is non-empty"), &exp);
-        for idx in (1..live.len()).rev() {
-            out[live[idx]] = Some(FpElement {
-                mont: mont.mont_mul(&inv, &prefix[idx - 1]),
-            });
-            inv = mont.mont_mul(&inv, &elems[live[idx]].mont);
-        }
-        out[live[0]] = Some(FpElement { mont: inv });
         out
     }
 
     /// Modular inversion via Fermat's little theorem. Returns `None` for zero.
     pub fn inv(&self, a: &FpElement) -> Option<FpElement> {
-        if a.is_zero() {
-            return None;
-        }
-        self.inner.counter.record_inv();
         // The exponentiation's internal multiplications are deliberately not
         // double-counted: the paper treats inversion as its own primitive.
-        if let Some(ctx) = self.inner.fixed256.as_ref() {
-            if let Some(a_f) = Uint::<4>::from_biguint(&a.mont) {
-                let inv = ctx
-                    .mont_inv_prime(&a_f)
-                    .expect("non-zero element stays non-zero in fixed form");
-                return Some(FpElement {
-                    mont: inv.to_biguint(),
-                });
-            }
-        }
-        let exp = &self.inner.modulus - &BigUint::from(2u64);
-        let mut acc = self.one();
-        for i in (0..exp.bit_len()).rev() {
-            acc = FpElement {
-                mont: self.inner.mont.mont_mul(&acc.mont, &acc.mont),
-            };
-            if exp.bit(i) {
-                acc = FpElement {
-                    mont: self.inner.mont.mont_mul(&acc.mont, &a.mont),
-                };
-            }
-        }
-        Some(acc)
+        let mont = self.inner.mont.mont_inv_prime(&a.mont)?;
+        self.inner.counter.record_inv();
+        Some(FpElement { mont })
     }
 
     /// Returns `true` if two contexts describe the same field.
@@ -504,11 +424,7 @@ impl FpContext {
     /// Euler's criterion: returns `true` if `a` is a non-zero quadratic
     /// residue modulo `p`.
     pub fn is_square(&self, a: &FpElement) -> bool {
-        if a.is_zero() {
-            return false;
-        }
-        let exp = (&self.inner.modulus - &BigUint::one()).shr_bits(1);
-        self.exp(a, &exp) == self.one()
+        !a.is_zero() && self.pow(a, &self.inner.legendre_exp) == self.one()
     }
 
     /// Modular square root by Tonelli–Shanks. Returns `None` if `a` is a
@@ -521,31 +437,24 @@ impl FpContext {
         if !self.is_square(a) {
             return None;
         }
-        let p = &self.inner.modulus;
-        let one = BigUint::one();
-        // Fast path: p ≡ 3 (mod 4) → a^((p+1)/4).
-        if (p % &BigUint::from(4u64)).to_u64() == Some(3) {
-            let exp = (p + &one).shr_bits(2);
-            return Some(self.exp(a, &exp));
-        }
-        // Tonelli–Shanks. Write p - 1 = q · 2^s with q odd.
-        let p_minus_one = p - &one;
-        let s = p_minus_one.trailing_zeros();
-        let q = p_minus_one.shr_bits(s);
-        // Find a quadratic non-residue z (deterministic scan; half of all
-        // elements qualify so this terminates quickly).
+        let (s, q, r_exp) = match &self.inner.sqrt {
+            SqrtPlan::ThreeModFour { exp } => return Some(self.pow(a, exp)),
+            SqrtPlan::TonelliShanks { s, q, r_exp } => (*s, q, r_exp),
+        };
+        // Tonelli–Shanks. Find a quadratic non-residue z (deterministic
+        // scan; half of all elements qualify so this terminates quickly).
         let mut z = self.from_u64(2);
         while self.is_square(&z) {
             z = self.add(&z, &self.one());
         }
         let mut m = s;
-        let mut c = self.exp(&z, &q);
-        let mut t = self.exp(a, &q);
-        let mut r = self.exp(a, &(&q + &one).shr_bits(1));
+        let mut c = self.pow(&z, q);
+        let mut t = self.pow(a, q);
+        let mut r = self.pow(a, r_exp);
         while t != self.one() {
             // Find the least i with t^(2^i) = 1.
             let mut i = 0usize;
-            let mut probe = t.clone();
+            let mut probe = t;
             while probe != self.one() {
                 probe = self.square(&probe);
                 i += 1;
@@ -553,7 +462,7 @@ impl FpContext {
                     return None; // unreachable for residues; defensive
                 }
             }
-            let mut b = c.clone();
+            let mut b = c;
             for _ in 0..(m - i - 1) {
                 b = self.square(&b);
             }
@@ -586,6 +495,13 @@ mod tests {
         FpContext::new(&BigUint::from(1_000_000_007u64)).unwrap()
     }
 
+    fn secp256k1() -> FpContext {
+        let p =
+            BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
+                .unwrap();
+        FpContext::new(&p).unwrap()
+    }
+
     #[test]
     fn rejects_bad_modulus() {
         assert_eq!(
@@ -595,6 +511,11 @@ mod tests {
         assert_eq!(
             FpContext::new(&BigUint::from(3u64)).unwrap_err(),
             FieldError::InvalidModulus
+        );
+        let wide = &BigUint::one().shl_bits(256) + &BigUint::one();
+        assert_eq!(
+            FpContext::new(&wide).unwrap_err(),
+            FieldError::ModulusTooWide { bits: 257 }
         );
     }
 
@@ -638,6 +559,22 @@ mod tests {
     }
 
     #[test]
+    fn from_canonical_rejects_unreduced_encodings() {
+        let fp = ctx();
+        let p = fp.modulus().clone();
+        let pm1 = &p - &BigUint::one();
+        assert_eq!(fp.from_canonical(&pm1), Some(fp.from_i64(-1)));
+        assert_eq!(fp.from_canonical(&BigUint::zero()), Some(fp.zero()));
+        assert_eq!(fp.from_canonical(&p), None);
+        let unreduced = &p + &BigUint::from(5u64);
+        assert_eq!(fp.from_canonical(&unreduced), None);
+        // from_biguint keeps reducing, whatever the width.
+        assert_eq!(fp.from_biguint(&unreduced), fp.from_u64(5));
+        let wide = &p.shl_bits(300) + &BigUint::from(5u64);
+        assert_eq!(fp.from_biguint(&wide), fp.from_u64(5));
+    }
+
+    #[test]
     fn inversion_and_exponentiation() {
         let fp = ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
@@ -675,11 +612,27 @@ mod tests {
     }
 
     #[test]
+    fn exp_and_inv_record_the_serial_op_counts() {
+        for fp in [ctx(), secp256k1()] {
+            // One mul per squaring plus one per set exponent bit.
+            fp.reset_op_count();
+            let _ = fp.exp(&fp.from_u64(7), &BigUint::from(0b1011u64));
+            assert_eq!(fp.op_count().mul, 4 + 3);
+            fp.reset_op_count();
+            let _ = fp.inv(&fp.from_u64(7));
+            let _ = fp.inv(&fp.zero());
+            let c = fp.op_count();
+            assert_eq!((c.inv, c.mul), (1, 0), "inversion stays its own primitive");
+        }
+    }
+
+    #[test]
     fn montgomery_repr_roundtrip() {
         let fp = ctx();
         let a = fp.from_u64(424_242);
-        let repr = a.mont_repr().clone();
+        let repr = *a.mont_repr();
         assert_eq!(FpElement::from_mont_repr(repr), a);
+        assert_eq!(repr, fp.mont_context().to_mont(&Uint::from_u64(424_242)));
     }
 
     #[test]
@@ -716,97 +669,28 @@ mod tests {
     }
 
     #[test]
-    fn fixed256_fast_path_matches_heap_loops() {
-        // secp256k1's p: 8 u32 limbs, so the fixed backend engages.
-        let p =
-            BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-                .unwrap();
-        let fp = FpContext::new(&p).unwrap();
-        assert!(fp.fixed256().is_some());
-        assert!(ctx().fixed256().is_none(), "small primes stay on the heap");
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        for _ in 0..5 {
-            let a = fp.random(&mut rng);
-            let e = BigUint::random_below(&mut rng, &p);
-            // Reference: the heap Montgomery exponentiation on the plain residue.
-            let expected = fp.montgomery().mod_exp(&fp.to_biguint(&a), &e);
-            assert_eq!(fp.to_biguint(&fp.exp(&a, &e)), expected);
-            if !a.is_zero() {
-                let expected_inv = fp.montgomery().mod_inv_prime(&fp.to_biguint(&a)).unwrap();
-                assert_eq!(fp.to_biguint(&fp.inv(&a).unwrap()), expected_inv);
-            }
-        }
-
-        // The fast path records the same operation counts as the heap loop:
-        // one mul per squaring plus one per set exponent bit.
-        fp.reset_op_count();
-        let e = BigUint::from(0b1011u64);
-        let _ = fp.exp(&fp.from_u64(7), &e);
-        assert_eq!(fp.op_count().mul, 4 + 3);
-        fp.reset_op_count();
-        let _ = fp.inv(&fp.from_u64(7));
-        let c = fp.op_count();
-        assert_eq!((c.inv, c.mul), (1, 0), "inversion stays its own primitive");
-    }
-
-    #[test]
-    fn single_products_route_fixed_and_heap_twin_matches() {
-        let p =
-            BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-                .unwrap();
-        let fp = FpContext::new(&p).unwrap();
-        let heap = fp.heap_only();
-        assert!(fp.fixed256().is_some());
-        assert!(heap.fixed256().is_none(), "twin must stay on the heap");
-        assert!(fp.same_field(&heap));
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        for _ in 0..10 {
-            let a = fp.random(&mut rng);
-            let b = fp.random(&mut rng);
-            // Fixed-backend product bit-identical to the heap product (the
-            // backends share the Montgomery radix), and both are the plain
-            // modular product.
-            assert_eq!(fp.mul(&a, &b), heap.mul(&a, &b));
-            assert_eq!(fp.square(&a), heap.square(&a));
-            let expected = (&fp.to_biguint(&a) * &fp.to_biguint(&b)) % &p;
-            assert_eq!(fp.to_biguint(&fp.mul(&a, &b)), expected);
-        }
-
-        // The twin shares the counter, so op-count accounting is unchanged
-        // whichever context executes.
-        fp.reset_op_count();
-        let a = fp.from_u64(3);
-        let _ = fp.mul(&a, &a);
-        let _ = heap.mul(&a, &a);
-        assert_eq!(fp.op_count().mul, 2);
-    }
-
-    #[test]
-    fn exp_batch_matches_serial_on_both_backends() {
-        let p =
-            BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-                .unwrap();
-        for fp in [FpContext::new(&p).unwrap(), ctx()] {
-            let heap = fp.heap_only();
+    fn exp_batch_matches_serial_exp() {
+        for fp in [secp256k1(), ctx()] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-            // 7 pairs: exercises a full lane group plus a partial trailing
-            // chunk, with edge exponents {0, 1, p-1} mixed in.
+            // 8 pairs: a full lane group, a partial trailing chunk and an
+            // exponent wider than 256 bits, with edge exponents {0, 1, p-1}.
             let mut pairs: Vec<(FpElement, BigUint)> = vec![
                 (fp.random(&mut rng), BigUint::zero()),
                 (fp.random(&mut rng), BigUint::one()),
                 (fp.random(&mut rng), fp.modulus() - &BigUint::one()),
+                (fp.random(&mut rng), BigUint::random_bits(&mut rng, 300)),
             ];
             for _ in 0..4 {
                 let e = BigUint::random_below(&mut rng, fp.modulus());
                 pairs.push((fp.random(&mut rng), e));
             }
-            let serial: Vec<FpElement> = pairs.iter().map(|(b, e)| heap.exp(b, e)).collect();
             fp.reset_op_count();
-            let expected: Vec<FpElement> = pairs.iter().map(|(b, e)| fp.exp(b, e)).collect();
+            let serial: Vec<FpElement> = pairs.iter().map(|(b, e)| fp.exp(b, e)).collect();
             let serial_count = fp.op_count();
-            assert_eq!(expected, serial, "fixed serial path matches heap");
+            for ((b, e), got) in pairs.iter().zip(&serial) {
+                let want = plain_pow(&fp, b, e);
+                assert_eq!(fp.to_biguint(got), want, "serial exp matches BigUint");
+            }
             fp.reset_op_count();
             let batch = fp.exp_batch(&pairs);
             assert_eq!(batch, serial, "batch bit-identical to serial");
@@ -821,12 +705,14 @@ mod tests {
         }
     }
 
+    /// `b^e mod p` on plain `BigUint`s.
+    fn plain_pow(fp: &FpContext, b: &FpElement, e: &BigUint) -> BigUint {
+        bignum::mod_exp(&fp.to_biguint(b), e, fp.modulus())
+    }
+
     #[test]
     fn inv_batch_matches_serial_and_skips_zeros() {
-        let p =
-            BigUint::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-                .unwrap();
-        for fp in [FpContext::new(&p).unwrap(), ctx()] {
+        for fp in [secp256k1(), ctx()] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(6);
             let mut elems: Vec<FpElement> = (0..6).map(|_| fp.random(&mut rng)).collect();
             elems.insert(2, fp.zero());

@@ -197,15 +197,11 @@ impl Fp3Context {
     /// The Frobenius map `a ↦ a^p` (an `Fp`-linear map; uses the cached
     /// image of `x`).
     pub fn frobenius(&self, a: &Fp3Element) -> Fp3Element {
-        let xp = Fp3Element {
-            c: self.frob_x.clone(),
-        };
-        let xp2 = Fp3Element {
-            c: self.frob_x2.clone(),
-        };
+        let xp = Fp3Element { c: self.frob_x };
+        let xp2 = Fp3Element { c: self.frob_x2 };
         let t1 = self.scalar_mul(&xp, &a.c[1]);
         let t2 = self.scalar_mul(&xp2, &a.c[2]);
-        self.add(&self.from_fp(a.c[0].clone()), &self.add(&t1, &t2))
+        self.add(&self.from_fp(a.c[0]), &self.add(&t1, &t2))
     }
 
     /// The norm `N(a) = a · a^p · a^{p²} ∈ Fp`.
@@ -219,7 +215,7 @@ impl Fp3Context {
         let f2 = self.frobenius(&f1);
         let n = self.mul(a, &self.mul(&f1, &f2));
         debug_assert!(n.c[1].is_zero() && n.c[2].is_zero(), "norm not in Fp");
-        n.c[0].clone()
+        n.c[0]
     }
 
     /// Inversion via the norm: `a^{-1} = a^p · a^{p²} / N(a)`.

@@ -89,19 +89,19 @@ impl Fp6Context {
 
     /// The additive identity.
     pub fn zero(&self) -> Fp6Element {
-        self.from_coeffs(std::array::from_fn(|_| self.fp.zero()))
+        self.from_coeffs([self.fp.zero(); 6])
     }
 
     /// The multiplicative identity.
     pub fn one(&self) -> Fp6Element {
-        let mut c: [FpElement; 6] = std::array::from_fn(|_| self.fp.zero());
+        let mut c: [FpElement; 6] = [self.fp.zero(); 6];
         c[0] = self.fp.one();
         self.from_coeffs(c)
     }
 
     /// The generator `z` (a primitive 9th root of unity).
     pub fn gen_z(&self) -> Fp6Element {
-        let mut c: [FpElement; 6] = std::array::from_fn(|_| self.fp.zero());
+        let mut c: [FpElement; 6] = [self.fp.zero(); 6];
         c[1] = self.fp.one();
         self.from_coeffs(c)
     }
@@ -147,7 +147,7 @@ impl Fp6Context {
 
     /// Embeds a base-field element as a constant polynomial.
     pub fn from_fp(&self, v: FpElement) -> Fp6Element {
-        let mut c: [FpElement; 6] = std::array::from_fn(|_| self.fp.zero());
+        let mut c: [FpElement; 6] = [self.fp.zero(); 6];
         c[0] = v;
         self.from_coeffs(c)
     }
@@ -185,10 +185,10 @@ impl Fp6Context {
     /// `C2 = (A0-A1)(B0-B1)` each cost 6M, for 18M total.
     pub fn mul(&self, a: &Fp6Element, b: &Fp6Element) -> Fp6Element {
         let fp = &self.fp;
-        let a0: [FpElement; 3] = [a.c[0].clone(), a.c[1].clone(), a.c[2].clone()];
-        let a1: [FpElement; 3] = [a.c[3].clone(), a.c[4].clone(), a.c[5].clone()];
-        let b0: [FpElement; 3] = [b.c[0].clone(), b.c[1].clone(), b.c[2].clone()];
-        let b1: [FpElement; 3] = [b.c[3].clone(), b.c[4].clone(), b.c[5].clone()];
+        let a0: [FpElement; 3] = [a.c[0], a.c[1], a.c[2]];
+        let a1: [FpElement; 3] = [a.c[3], a.c[4], a.c[5]];
+        let b0: [FpElement; 3] = [b.c[0], b.c[1], b.c[2]];
+        let b1: [FpElement; 3] = [b.c[3], b.c[4], b.c[5]];
 
         let c0 = karatsuba3(fp, &a0, &b0);
         let c1 = karatsuba3(fp, &a1, &b1);
@@ -202,17 +202,17 @@ impl Fp6Context {
         // the addition count in line with the paper's ~60A figure.
         let mid: [FpElement; 5] = std::array::from_fn(|k| fp.sub(&fp.add(&c0[k], &c1[k]), &c2[k]));
         let d: [FpElement; 11] = [
-            c0[0].clone(),
-            c0[1].clone(),
-            c0[2].clone(),
+            c0[0],
+            c0[1],
+            c0[2],
             fp.add(&c0[3], &mid[0]),
             fp.add(&c0[4], &mid[1]),
-            mid[2].clone(),
+            mid[2],
             fp.add(&mid[3], &c1[0]),
             fp.add(&mid[4], &c1[1]),
-            c1[2].clone(),
-            c1[3].clone(),
-            c1[4].clone(),
+            c1[2],
+            c1[3],
+            c1[4],
         ];
         self.reduce_deg10(&d)
     }
@@ -294,7 +294,7 @@ impl Fp6Context {
         for _ in 0..(k % 6) {
             e = (e * self.p_mod_9) % 9;
         }
-        let mut r: [FpElement; 6] = std::array::from_fn(|_| fp.zero());
+        let mut r: [FpElement; 6] = [fp.zero(); 6];
         for i in 0..6 {
             if a.c[i].is_zero() {
                 continue;
@@ -352,7 +352,7 @@ impl Fp6Context {
             prod.c[1..].iter().all(FpElement::is_zero),
             "absolute norm must lie in Fp"
         );
-        prod.c[0].clone()
+        prod.c[0]
     }
 
     /// Inversion via the norm method: `a^{-1} = (Π_{k=1..5} a^{p^k}) / N(a)`.
@@ -381,7 +381,7 @@ impl Fp6Context {
     fn reduce_deg10(&self, d: &[FpElement]) -> Fp6Element {
         let fp = &self.fp;
         debug_assert!(d.len() == 11);
-        let mut r: [FpElement; 6] = std::array::from_fn(|i| d[i].clone());
+        let mut r: [FpElement; 6] = std::array::from_fn(|i| d[i]);
         // z^6 = -z^3 - 1
         r[3] = fp.sub(&r[3], &d[6]);
         r[0] = fp.sub(&r[0], &d[6]);

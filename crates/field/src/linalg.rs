@@ -191,7 +191,7 @@ impl FpMatrix {
                 if r == col || a.get(r, col).is_zero() {
                     continue;
                 }
-                let factor = a.get(r, col).clone();
+                let factor = *a.get(r, col);
                 for c in 0..n {
                     let va = fp.sub(a.get(r, c), &fp.mul(&factor, a.get(col, c)));
                     a.set(r, c, va);

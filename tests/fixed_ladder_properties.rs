@@ -128,7 +128,7 @@ proptest! {
             for (i, (base, exp)) in pairs[..len].iter().enumerate() {
                 prop_assert_eq!(&got[i], &fp.exp(base, exp), "exp lane {}", i);
             }
-            let mut elems: Vec<_> = pairs[..len].iter().map(|(b, _)| b.clone()).collect();
+            let mut elems: Vec<_> = pairs[..len].iter().map(|(b, _)| *b).collect();
             elems.push(fp.zero());
             let inv = fp.inv_batch(&elems);
             prop_assert_eq!(inv.len(), elems.len());

@@ -124,46 +124,40 @@ fn known_products_match_on_the_secp256k1_modulus() {
 
 #[test]
 fn backend_presence_matches_field_width() {
-    for (name, expect) in [
-        ("secp256k1", true),
-        ("p256", true),
-        ("p160-reproduction", false),
-        ("toy-1009", false),
-    ] {
+    // Every field of at most 256 bits has the fixed backend, so every
+    // registered curve — 256, 160 and 10 bits wide — gets the stack
+    // ladders, computing in its own field's Montgomery context.
+    for name in ["secp256k1", "p256", "p160-reproduction", "toy-1009"] {
         let curve = Curve::by_name(name).unwrap();
+        let backend = curve.fixed_backend();
         assert_eq!(
-            curve.fixed_backend().is_some(),
-            expect,
-            "{name}: fixed backend presence"
+            backend.context().modulus().to_biguint(),
+            *curve.fp().modulus(),
+            "{name}: backend modulus"
         );
         assert_eq!(
-            curve.fp().fixed256().is_some(),
-            expect,
-            "{name}: field fast path"
+            backend.context().one_mont(),
+            *curve.fp().one().mont_repr(),
+            "{name}: shared Montgomery radix"
         );
+        assert_eq!(backend.a_is_minus_three(), curve.a_is_minus_three());
     }
 }
 
 /// Runs `k · G` directly through the fixed backend (no dispatch), returning
 /// the affine result as field elements.
 fn fixed_mul_base(curve: &Curve, k: u64) -> Option<(FpElement, FpElement)> {
-    let backend = curve.fixed_backend().expect("256-bit curve has a backend");
     let (gx, gy) = curve.base_point().coordinates().expect("G is finite");
-    let to_residue = |e: &FpElement| Uint::<4>::from_biguint(e.mont_repr()).unwrap();
-    backend
-        .scalar_mul(&to_residue(gx), &to_residue(gy), &Uint::from_u64(k))
-        .map(|(x, y)| {
-            (
-                FpElement::from_mont_repr(x.to_biguint()),
-                FpElement::from_mont_repr(y.to_biguint()),
-            )
-        })
+    curve
+        .fixed_backend()
+        .scalar_mul(gx.mont_repr(), gy.mont_repr(), &Uint::from_u64(k))
+        .map(|(x, y)| (FpElement::from_mont_repr(x), FpElement::from_mont_repr(y)))
 }
 
 #[test]
 fn fixed_ladder_reproduces_published_generator_multiples() {
     // The same SEC 2 / FIPS 186-4 vectors `tests/named_curves.rs` pins on
-    // the heap ladder, this time evaluated on the stack backend alone.
+    // the Curve-level ladder, this time evaluated on the stack backend alone.
     let vectors = [
         (
             "secp256k1",
@@ -191,15 +185,16 @@ fn fixed_ladder_reproduces_published_generator_multiples() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The dispatching ladder (which routes 256-bit double-and-add through
-    /// the fixed backend) agrees with the always-heap reference ladder on
-    /// random full-width scalars, on both named 256-bit curves.
+    /// The dispatching ladder (which routes double-and-add through the
+    /// fixed backend) agrees with the Curve-level reference ladder on
+    /// random full-width scalars, on the named 256-bit curves and the
+    /// paper's 160-bit curve.
     #[test]
     fn dispatch_matches_reference_ladder(seed in any::<u64>()) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        for name in ["secp256k1", "p256"] {
+        for name in ["secp256k1", "p256", "p160"] {
             let curve = Curve::by_name(name).unwrap();
-            let k = BigUint::random_bits(&mut rng, 256);
+            let k = BigUint::random_bits(&mut rng, curve.bits());
             let dispatched =
                 curve.scalar_mul(curve.base_point(), &k, ScalarMulAlgorithm::DoubleAndAdd);
             let reference =

@@ -1,12 +1,13 @@
 //! Zero-allocation regression test for the fixed-width backend.
 //!
 //! The point of `bignum::fixed` is that the hot loops — Montgomery
-//! multiplication, exponentiation, and the full scalar-multiplication
-//! ladder — run entirely on stack arrays. This test installs a counting
-//! global allocator and asserts that, after setup, those loops perform
-//! **zero** heap allocations; a `Vec` sneaking back into the CIOS kernel or
-//! the ladder would fail here immediately. The counter itself is
-//! sanity-checked against the heap backend, which must allocate.
+//! multiplication, exponentiation, the full scalar-multiplication ladder,
+//! and every `Fp`/`Fp6`/curve operation built on them — run entirely on
+//! stack arrays. This test installs a counting global allocator and
+//! asserts that, after setup, those loops perform **zero** heap
+//! allocations; a `Vec` sneaking back into the CIOS kernel, a field
+//! element or a point formula would fail here immediately. The counter
+//! itself is sanity-checked against the heap backend, which must allocate.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +15,7 @@ use std::hint::black_box;
 
 use bignum::fixed::Uint;
 use bignum::{BigUint, MontgomeryParams};
+use ceilidh::CeilidhParams;
 use ecc::prelude::*;
 
 thread_local! {
@@ -60,13 +62,10 @@ fn fixed_backend_loops_do_not_touch_the_heap() {
     // Setup may allocate freely: curve construction, context setup, and the
     // BigUint conversions all happen before the measured window.
     let curve = Curve::from_parameters::<Secp256k1>().unwrap();
-    let backend = curve
-        .fixed_backend()
-        .expect("secp256k1 has a fixed backend");
+    let backend = curve.fixed_backend();
     let ctx = backend.context().clone();
     let (gx, gy) = curve.base_point().coordinates().expect("G is finite");
-    let x = Uint::<4>::from_biguint(gx.mont_repr()).unwrap();
-    let y = Uint::<4>::from_biguint(gy.mont_repr()).unwrap();
+    let (x, y) = (*gx.mont_repr(), *gy.mont_repr());
     let k = Uint::<4>::from_biguint(
         &BigUint::from_hex("4727b5cc3a1b2eff9db127aa7412a7641eb87a766e6c46cfe0f5ab7ad8b33bb2")
             .unwrap(),
@@ -93,6 +92,40 @@ fn fixed_backend_loops_do_not_touch_the_heap() {
         after - before,
         0,
         "fixed Montgomery/ladder loops must not allocate"
+    );
+}
+
+#[test]
+fn field_and_point_operations_do_not_touch_the_heap() {
+    // The paper's sizes: the 170-bit torus field and the 160-bit curve.
+    let params = CeilidhParams::date2008().unwrap();
+    let (fp, fp6) = (params.fp(), params.fp6());
+    let x6 = fp6.from_u64_coeffs([3, 1, 4, 1, 5, 9]);
+    let y6 = fp6.from_u64_coeffs([2, 7, 1, 8, 2, 8]);
+    let (a, b) = (fp.from_u64(271_828), fp.from_i64(-314_159));
+    let curve = Curve::p160_reproduction().unwrap();
+    let g = curve.base_point().clone();
+    let jg = curve.to_jacobian(&g);
+
+    let before = allocations();
+    let prod6 = fp6.mul(black_box(&x6), black_box(&y6));
+    let sq6 = fp6.square(black_box(&prod6));
+    let mut acc = a;
+    for _ in 0..100 {
+        acc = fp.mul(black_box(&acc), black_box(&b));
+        acc = fp.add(black_box(&acc), black_box(&a));
+        acc = fp.sub(black_box(&acc), black_box(&b));
+    }
+    let inverted = fp.inv(black_box(&acc));
+    let doubled = curve.jacobian_double(black_box(&jg));
+    let added = curve.jacobian_add_mixed(black_box(&doubled), black_box(&g));
+    let after = allocations();
+
+    black_box((sq6, inverted, added));
+    assert_eq!(
+        after - before,
+        0,
+        "Fp/Fp6/point operations must not allocate"
     );
 }
 
