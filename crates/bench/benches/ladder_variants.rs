@@ -1,7 +1,6 @@
-//! Fixed-backend ladder-variant bench: plain double-and-add against the
-//! signed-digit NAF ladder and the `Window4` path (the cached fixed-base
-//! comb for the curve's base point) on secp256k1, all running on the
-//! stack-allocated fixed-limb backend.
+//! Ladder-variant bench: plain double-and-add against the signed-digit
+//! NAF ladder and the `Window4` path (the cached fixed-base comb for the
+//! curve's base point) on secp256k1, all through `Curve::scalar_mul`.
 //!
 //! Under `cargo bench` with `BENCH_REPORT_JSON=<path>` set, the harness
 //! re-times the variants with a plain `Instant` loop and merges the
@@ -78,7 +77,7 @@ fn emit_speedup_report(path: &str) {
     let baseline = secs_per_iter(|| f.run(ScalarMulAlgorithm::DoubleAndAdd));
     let naf = baseline / secs_per_iter(|| f.run(ScalarMulAlgorithm::Naf));
     let window = baseline / secs_per_iter(|| f.run(ScalarMulAlgorithm::Window4));
-    println!("fixed ladder speedup over double-and-add: naf {naf:.2}x, window4(comb) {window:.2}x");
+    println!("ladder speedup over double-and-add: naf {naf:.2}x, window4(comb) {window:.2}x");
 
     let mut pairs = std::fs::read_to_string(&path)
         .ok()

@@ -1,13 +1,16 @@
 //! Short-Weierstrass curves `y² = x³ + ax + b` over `Fp` and their group law.
 
+use std::sync::{Arc, OnceLock};
+
+use bignum::fixed::{add_mod, neg_mod, sub_mod, MontgomeryContext, Uint};
 use bignum::BigUint;
 use field::{FieldError, FpContext, FpElement};
 use rand::Rng;
 
 use crate::error::EccError;
-use crate::fixed::FixedCurve;
 use crate::params::{P160Reproduction, Toy};
 use crate::point::{AffinePoint, JacobianPoint};
+use crate::scalar::CombTable;
 
 /// A short-Weierstrass curve over a prime field, together with a base point.
 ///
@@ -36,8 +39,14 @@ pub struct Curve {
     // Whether a ≡ -3 (mod p), precomputed so the per-doubling dispatch
     // to the shortened formulas costs a bool instead of a conversion.
     a_minus_three: bool,
-    // The stack-allocated ladder backend (see `Curve::fixed_backend`).
-    fixed: FixedCurve,
+    // A copy of the field's Montgomery context, held inline so the point
+    // formulas reach `mont_mul` without a pointer chase through `fp`.
+    ctx: MontgomeryContext<4>,
+    // The constant 3, the fast doubling's tangent factor.
+    three: FpElement,
+    // The base point's comb table, built on first use and shared across
+    // clones (see `Curve::scalar_mul`).
+    pub(crate) comb: Arc<OnceLock<CombTable>>,
 }
 
 /// Explicit curve parameters with named fields — the builder behind every
@@ -169,11 +178,10 @@ impl Curve {
     /// Validates a [`CurveSpec`] and builds the curve.
     ///
     /// This is the single construction path: the trait-driven
-    /// [`Curve::from_parameters`] and the deprecated positional
-    /// [`Curve::new`] both funnel through it, so every curve gets the
-    /// same checks — `p` must make a usable field, the discriminant
-    /// `4a³ + 27b²` must be non-zero, and the generator must satisfy the
-    /// curve equation.
+    /// [`Curve::from_parameters`] and [`CurveSpec::build`] both funnel
+    /// through it, so every curve gets the same checks — `p` must make a
+    /// usable field, the discriminant `4a³ + 27b²` must be non-zero, and
+    /// the generator must satisfy the curve equation.
     ///
     /// # Errors
     ///
@@ -214,7 +222,6 @@ impl Curve {
         }
         let a_minus_three = a_is_minus_three(&fp, &a);
         let bits = bits.unwrap_or_else(|| fp.bit_len());
-        let fixed = FixedCurve::new(fp.mont_context().clone(), &a, a_minus_three);
         let curve = Curve {
             fp: fp.clone(),
             a,
@@ -225,7 +232,9 @@ impl Curve {
             bits,
             name,
             a_minus_three,
-            fixed,
+            ctx: fp.mont_context().clone(),
+            three: fp.from_u64(3),
+            comb: Arc::new(OnceLock::new()),
         };
         let base = curve
             .lift(
@@ -237,35 +246,6 @@ impl Curve {
                 reason: "not on the curve",
             })?;
         Ok(Curve { base, ..curve })
-    }
-
-    /// Builds a curve from positional parameters.
-    ///
-    /// # Errors
-    ///
-    /// See [`Curve::from_spec`].
-    #[deprecated(
-        note = "use CurveSpec::new(..).build(), Curve::from_parameters::<E>() or Curve::by_name(..)"
-    )]
-    pub fn new(
-        p: &BigUint,
-        a: &BigUint,
-        b: &BigUint,
-        base_x: &BigUint,
-        base_y: &BigUint,
-        order: Option<BigUint>,
-        name: &'static str,
-    ) -> Result<Self, EccError> {
-        CurveSpec::new(
-            p.clone(),
-            a.clone(),
-            b.clone(),
-            base_x.clone(),
-            base_y.clone(),
-        )
-        .maybe_order(order)
-        .name(name)
-        .build()
     }
 
     /// The 160-bit curve used to reproduce the paper's "160-bit ECC" rows —
@@ -321,13 +301,6 @@ impl Curve {
         &self.b
     }
 
-    /// The stack-allocated ladder backend, which every curve has.
-    /// [`Curve::scalar_mul`] uses it automatically; benchmarks and
-    /// differential tests reach it through this accessor.
-    pub fn fixed_backend(&self) -> &FixedCurve {
-        &self.fixed
-    }
-
     /// The curve name.
     pub fn name(&self) -> &'static str {
         self.name
@@ -357,18 +330,20 @@ impl Curve {
         self.bits
     }
 
+    /// The right-hand side `x³ + ax + b` of the curve equation.
+    fn rhs(&self, x: &FpElement) -> FpElement {
+        let fp = &self.fp;
+        fp.add(
+            &fp.add(&fp.mul(x, &fp.square(x)), &fp.mul(&self.a, x)),
+            &self.b,
+        )
+    }
+
     /// Checks the curve equation for a point.
     pub fn is_on_curve(&self, point: &AffinePoint) -> bool {
-        match point {
-            AffinePoint::Infinity => true,
-            AffinePoint::Point { x, y } => {
-                let fp = &self.fp;
-                let rhs = fp.add(
-                    &fp.add(&fp.mul(x, &fp.square(x)), &fp.mul(&self.a, x)),
-                    &self.b,
-                );
-                fp.square(y) == rhs
-            }
+        match point.coordinates() {
+            None => true,
+            Some((x, y)) => self.fp.square(y) == self.rhs(x),
         }
     }
 
@@ -397,7 +372,10 @@ impl Curve {
         }
     }
 
-    /// Affine point addition (one inversion per addition).
+    /// Affine point addition (one inversion per addition): the
+    /// chord-and-tangent law, through counted [`FpContext`] calls. It
+    /// shares no formula with the Jacobian ladders, which is what makes
+    /// [`Curve::scalar_mul_reference`] an independent oracle.
     pub fn add(&self, p: &AffinePoint, q: &AffinePoint) -> AffinePoint {
         let fp = &self.fp;
         match (p, q) {
@@ -418,7 +396,7 @@ impl Curve {
         }
     }
 
-    /// Affine point doubling.
+    /// Affine point doubling (the tangent case of [`Curve::add`]).
     pub fn double(&self, p: &AffinePoint) -> AffinePoint {
         let fp = &self.fp;
         match p {
@@ -436,35 +414,103 @@ impl Curve {
         }
     }
 
+    // Field arithmetic for the Jacobian formulas: straight on the inline
+    // Montgomery context, recording nothing into the op counter.
+
+    #[inline]
+    fn fmul(&self, a: &FpElement, b: &FpElement) -> FpElement {
+        FpElement::from_mont_repr(self.ctx.mont_mul(a.mont_repr(), b.mont_repr()))
+    }
+
+    #[inline]
+    fn fsqr(&self, a: &FpElement) -> FpElement {
+        self.fmul(a, a)
+    }
+
+    #[inline]
+    fn fadd(&self, a: &FpElement, b: &FpElement) -> FpElement {
+        FpElement::from_mont_repr(add_mod(a.mont_repr(), b.mont_repr(), self.ctx.modulus()))
+    }
+
+    #[inline]
+    fn fsub(&self, a: &FpElement, b: &FpElement) -> FpElement {
+        FpElement::from_mont_repr(sub_mod(a.mont_repr(), b.mont_repr(), self.ctx.modulus()))
+    }
+
+    #[inline]
+    pub(crate) fn fneg(&self, a: &FpElement) -> FpElement {
+        FpElement::from_mont_repr(neg_mod(a.mont_repr(), self.ctx.modulus()))
+    }
+
+    #[inline]
+    fn fdbl(&self, a: &FpElement) -> FpElement {
+        self.fadd(a, a)
+    }
+
+    /// The Jacobian point at infinity, `(1 : 1 : 0)`.
+    pub(crate) fn jacobian_infinity(&self) -> JacobianPoint {
+        let one = FpElement::from_mont_repr(self.ctx.one_mont());
+        JacobianPoint {
+            x: one,
+            y: one,
+            z: FpElement::from_mont_repr(Uint::ZERO),
+        }
+    }
+
     /// Converts an affine point to Jacobian coordinates.
     pub fn to_jacobian(&self, p: &AffinePoint) -> JacobianPoint {
-        match p {
-            AffinePoint::Infinity => JacobianPoint {
-                x: self.fp.one(),
-                y: self.fp.one(),
-                z: self.fp.zero(),
-            },
-            AffinePoint::Point { x, y } => JacobianPoint {
+        match p.coordinates() {
+            None => self.jacobian_infinity(),
+            Some((x, y)) => JacobianPoint {
                 x: *x,
                 y: *y,
-                z: self.fp.one(),
+                z: FpElement::from_mont_repr(self.ctx.one_mont()),
             },
         }
     }
 
-    /// Converts a Jacobian point back to affine coordinates (one inversion).
-    pub fn to_affine(&self, p: &JacobianPoint) -> AffinePoint {
-        if p.is_infinity() {
-            return AffinePoint::Infinity;
-        }
-        let fp = &self.fp;
-        let z_inv = fp.inv(&p.z).expect("finite point has z != 0");
-        let z_inv2 = fp.square(&z_inv);
-        let z_inv3 = fp.mul(&z_inv2, &z_inv);
+    /// `(X·Z⁻², Y·Z⁻³)` for a finite point, given `Z⁻¹`.
+    fn normalize(&self, p: &JacobianPoint, z_inv: &FpElement) -> AffinePoint {
+        let z_inv2 = self.fsqr(z_inv);
         AffinePoint::Point {
-            x: fp.mul(&p.x, &z_inv2),
-            y: fp.mul(&p.y, &z_inv3),
+            x: self.fmul(&p.x, &z_inv2),
+            y: self.fmul(&p.y, &self.fmul(&z_inv2, z_inv)),
         }
+    }
+
+    /// Converts a Jacobian point back to affine coordinates (one Fermat
+    /// inversion).
+    pub fn to_affine(&self, p: &JacobianPoint) -> AffinePoint {
+        match self.ctx.mont_inv_prime(p.z.mont_repr()) {
+            None => AffinePoint::Infinity,
+            Some(z_inv) => self.normalize(p, &FpElement::from_mont_repr(z_inv)),
+        }
+    }
+
+    /// Converts a slice of Jacobian points to affine coordinates with
+    /// **one** shared inversion (Montgomery's trick: one Fermat inversion
+    /// plus `3(n-1)` multiplications) instead of one per point. Points at
+    /// infinity come back as [`AffinePoint::Infinity`].
+    pub(crate) fn batch_to_affine(&self, points: &[JacobianPoint]) -> Vec<AffinePoint> {
+        let mut z_invs: Vec<Uint<4>> = points
+            .iter()
+            .filter(|p| !p.is_infinity())
+            .map(|p| *p.z.mont_repr())
+            .collect();
+        let mut scratch = vec![Uint::ZERO; z_invs.len()];
+        let inverted = self.ctx.mont_inv_batch(&mut z_invs, &mut scratch);
+        debug_assert!(inverted, "finite points have non-zero z");
+        let mut z_invs = z_invs.into_iter();
+        points
+            .iter()
+            .map(|p| {
+                if p.is_infinity() {
+                    return AffinePoint::Infinity;
+                }
+                let z_inv = z_invs.next().expect("one inverse per finite point");
+                self.normalize(p, &FpElement::from_mont_repr(z_inv))
+            })
+            .collect()
     }
 
     /// Jacobian point doubling (the paper's PD sequence; inversion-free).
@@ -474,33 +520,28 @@ impl Curve {
     /// fewer field multiplications) — the same substitution the
     /// platform's ladder driver makes with its `fast_pd` cost-model knob.
     pub fn jacobian_double(&self, p: &JacobianPoint) -> JacobianPoint {
-        if self.a_is_minus_three() {
+        if self.a_minus_three {
             return self.jacobian_double_fast(p);
         }
-        let fp = &self.fp;
         if p.is_infinity() || p.y.is_zero() {
-            return JacobianPoint {
-                x: fp.one(),
-                y: fp.one(),
-                z: fp.zero(),
-            };
+            return self.jacobian_infinity();
         }
-        let a_sq = fp.square(&p.x); // X1²
-        let b_sq = fp.square(&p.y); // Y1²
-        let c = fp.square(&b_sq); // Y1⁴
+        let a_sq = self.fsqr(&p.x); // X1²
+        let b_sq = self.fsqr(&p.y); // Y1²
+        let c = self.fsqr(&b_sq); // Y1⁴
                                   // D = 2((X1 + B)² - A - C)
-        let d = fp.double(&fp.sub(&fp.sub(&fp.square(&fp.add(&p.x, &b_sq)), &a_sq), &c));
+        let d = self.fdbl(&self.fsub(&self.fsub(&self.fsqr(&self.fadd(&p.x, &b_sq)), &a_sq), &c));
         // E = 3A + a·Z1⁴
-        let z2 = fp.square(&p.z);
-        let e = fp.add(
-            &fp.add(&fp.double(&a_sq), &a_sq),
-            &fp.mul(&self.a, &fp.square(&z2)),
+        let z2 = self.fsqr(&p.z);
+        let e = self.fadd(
+            &self.fadd(&self.fdbl(&a_sq), &a_sq),
+            &self.fmul(&self.a, &self.fsqr(&z2)),
         );
-        let f = fp.square(&e);
-        let x3 = fp.sub(&f, &fp.double(&d));
-        let eight_c = fp.double(&fp.double(&fp.double(&c)));
-        let y3 = fp.sub(&fp.mul(&e, &fp.sub(&d, &x3)), &eight_c);
-        let z3 = fp.double(&fp.mul(&p.y, &p.z));
+        let f = self.fsqr(&e);
+        let x3 = self.fsub(&f, &self.fdbl(&d));
+        let eight_c = self.fdbl(&self.fdbl(&self.fdbl(&c)));
+        let y3 = self.fsub(&self.fmul(&e, &self.fsub(&d, &x3)), &eight_c);
+        let z3 = self.fdbl(&self.fmul(&p.y, &p.z));
         JacobianPoint {
             x: x3,
             y: y3,
@@ -521,72 +562,24 @@ impl Curve {
     /// wrong, so callers must check [`Curve::a_is_minus_three`] first
     /// (the general doubling does this and dispatches automatically).
     pub fn jacobian_double_fast(&self, p: &JacobianPoint) -> JacobianPoint {
-        debug_assert!(self.a_is_minus_three(), "fast doubling requires a = -3");
-        let fp = &self.fp;
+        debug_assert!(self.a_minus_three, "fast doubling requires a = -3");
         if p.is_infinity() || p.y.is_zero() {
-            return JacobianPoint {
-                x: fp.one(),
-                y: fp.one(),
-                z: fp.zero(),
-            };
+            return self.jacobian_infinity();
         }
-        let delta = fp.square(&p.z); // Z1²
-        let gamma = fp.square(&p.y); // Y1²
-        let beta = fp.mul(&p.x, &gamma); // X1·Y1²
-        let alpha = fp.mul(
-            &fp.from_u64(3),
-            &fp.mul(&fp.sub(&p.x, &delta), &fp.add(&p.x, &delta)),
+        let delta = self.fsqr(&p.z); // Z1²
+        let gamma = self.fsqr(&p.y); // Y1²
+        let beta = self.fmul(&p.x, &gamma); // X1·Y1²
+        let alpha = self.fmul(
+            &self.three,
+            &self.fmul(&self.fsub(&p.x, &delta), &self.fadd(&p.x, &delta)),
         );
-        let beta4 = fp.double(&fp.double(&beta));
-        let x3 = fp.sub(&fp.square(&alpha), &fp.double(&beta4));
-        let y3 = fp.sub(
-            &fp.mul(&alpha, &fp.sub(&beta4, &x3)),
-            &fp.double(&fp.double(&fp.double(&fp.square(&gamma)))),
+        let beta4 = self.fdbl(&self.fdbl(&beta));
+        let x3 = self.fsub(&self.fsqr(&alpha), &self.fdbl(&beta4));
+        let y3 = self.fsub(
+            &self.fmul(&alpha, &self.fsub(&beta4, &x3)),
+            &self.fdbl(&self.fdbl(&self.fdbl(&self.fsqr(&gamma)))),
         );
-        let z3 = fp.double(&fp.mul(&p.y, &p.z));
-        JacobianPoint {
-            x: x3,
-            y: y3,
-            z: z3,
-        }
-    }
-
-    /// Jacobian point addition (the paper's PA sequence; inversion-free).
-    pub fn jacobian_add(&self, p: &JacobianPoint, q: &JacobianPoint) -> JacobianPoint {
-        let fp = &self.fp;
-        if p.is_infinity() {
-            return q.clone();
-        }
-        if q.is_infinity() {
-            return p.clone();
-        }
-        let z1z1 = fp.square(&p.z);
-        let z2z2 = fp.square(&q.z);
-        let u1 = fp.mul(&p.x, &z2z2);
-        let u2 = fp.mul(&q.x, &z1z1);
-        let s1 = fp.mul(&p.y, &fp.mul(&q.z, &z2z2));
-        let s2 = fp.mul(&q.y, &fp.mul(&p.z, &z1z1));
-        if u1 == u2 {
-            if s1 == s2 {
-                return self.jacobian_double(p);
-            }
-            return JacobianPoint {
-                x: fp.one(),
-                y: fp.one(),
-                z: fp.zero(),
-            };
-        }
-        let h = fp.sub(&u2, &u1);
-        let i = fp.square(&fp.double(&h));
-        let j = fp.mul(&h, &i);
-        let r = fp.double(&fp.sub(&s2, &s1));
-        let v = fp.mul(&u1, &i);
-        let x3 = fp.sub(&fp.sub(&fp.square(&r), &j), &fp.double(&v));
-        let y3 = fp.sub(&fp.mul(&r, &fp.sub(&v, &x3)), &fp.double(&fp.mul(&s1, &j)));
-        let z3 = fp.mul(
-            &fp.sub(&fp.sub(&fp.square(&fp.add(&p.z, &q.z)), &z1z1), &z2z2),
-            &h,
-        );
+        let z3 = self.fdbl(&self.fmul(&p.y, &p.z));
         JacobianPoint {
             x: x3,
             y: y3,
@@ -595,46 +588,43 @@ impl Curve {
     }
 
     /// Mixed-coordinate point addition: Jacobian `p` plus **affine** `q`
-    /// (the `Z2 = 1` special case of [`Curve::jacobian_add`]).
+    /// (the paper's PA sequence with `Z2 = 1`; inversion-free).
     ///
-    /// This is the addition the scalar-multiplication ladder performs on
-    /// every set bit — the addend is the one-time-normalized base point —
-    /// and the shape the platform formula database's 13-multiplication
-    /// `madd` entry prices: `Z2 = 1` makes `U1 = X1` and
-    /// `S1 = Y1`, eliminating three of the general sequence's Montgomery
-    /// products and collapsing the `Z3` tail to `2·Z1·H`. Functionally it
-    /// agrees with `jacobian_add(p, to_jacobian(q))` on all inputs,
-    /// including the degenerate ones (either operand at infinity, `q = ±p`).
+    /// This is the only addition the scalar-multiplication ladders
+    /// perform — their addends are the affine point, its negation or
+    /// batch-normalized table entries — and the shape the platform
+    /// formula database's 13-multiplication `madd` entry prices: `Z2 = 1`
+    /// makes `U1 = X1` and `S1 = Y1`, eliminating three of the general
+    /// sequence's Montgomery products and collapsing the `Z3` tail to
+    /// `2·Z1·H`. The degenerate cases (either operand at infinity,
+    /// `q = ±p`) agree with the affine [`Curve::add`].
     pub fn jacobian_add_mixed(&self, p: &JacobianPoint, q: &AffinePoint) -> JacobianPoint {
-        let fp = &self.fp;
-        let (x2, y2) = match q.coordinates() {
-            None => return p.clone(),
-            Some(c) => c,
+        let Some((x2, y2)) = q.coordinates() else {
+            return *p;
         };
         if p.is_infinity() {
             return self.to_jacobian(q);
         }
-        let z1z1 = fp.square(&p.z);
-        let u2 = fp.mul(x2, &z1z1);
-        let s2 = fp.mul(y2, &fp.mul(&p.z, &z1z1));
+        let z1z1 = self.fsqr(&p.z);
+        let u2 = self.fmul(x2, &z1z1);
+        let s2 = self.fmul(y2, &self.fmul(&p.z, &z1z1));
         if u2 == p.x {
             if s2 == p.y {
                 return self.jacobian_double(p);
             }
-            return JacobianPoint {
-                x: fp.one(),
-                y: fp.one(),
-                z: fp.zero(),
-            };
+            return self.jacobian_infinity();
         }
-        let h = fp.sub(&u2, &p.x);
-        let i = fp.square(&fp.double(&h));
-        let j = fp.mul(&h, &i);
-        let r = fp.double(&fp.sub(&s2, &p.y));
-        let v = fp.mul(&p.x, &i);
-        let x3 = fp.sub(&fp.sub(&fp.square(&r), &j), &fp.double(&v));
-        let y3 = fp.sub(&fp.mul(&r, &fp.sub(&v, &x3)), &fp.double(&fp.mul(&p.y, &j)));
-        let z3 = fp.double(&fp.mul(&p.z, &h));
+        let h = self.fsub(&u2, &p.x);
+        let i = self.fsqr(&self.fdbl(&h));
+        let j = self.fmul(&h, &i);
+        let r = self.fdbl(&self.fsub(&s2, &p.y));
+        let v = self.fmul(&p.x, &i);
+        let x3 = self.fsub(&self.fsub(&self.fsqr(&r), &j), &self.fdbl(&v));
+        let y3 = self.fsub(
+            &self.fmul(&r, &self.fsub(&v, &x3)),
+            &self.fdbl(&self.fmul(&p.y, &j)),
+        );
+        let z3 = self.fdbl(&self.fmul(&p.z, &h));
         JacobianPoint {
             x: x3,
             y: y3,
@@ -656,30 +646,27 @@ impl Curve {
         }
     }
 
-    /// Decompresses `(x, parity)` back to a point.
+    /// Decompresses `(x, parity)` back to a point. Every point has exactly
+    /// one encoding: `x` must be canonical (`x < p`), and a point with
+    /// `y = 0` has no odd root.
     ///
     /// # Errors
     ///
-    /// Returns [`EccError::InvalidCompressedPoint`] if `x³ + ax + b` is not
-    /// a square.
+    /// Returns [`EccError::InvalidCompressedPoint`] if `x ≥ p`, if
+    /// `x³ + ax + b` is not a square, or if `y_is_odd` asks for an odd
+    /// `y = 0`.
     pub fn decompress_point(&self, x: &BigUint, y_is_odd: bool) -> Result<AffinePoint, EccError> {
-        let fp = &self.fp;
-        let x = fp.from_biguint(x);
-        let rhs = fp.add(
-            &fp.add(&fp.mul(&x, &fp.square(&x)), &fp.mul(&self.a, &x)),
-            &self.b,
-        );
-        let y = if rhs.is_zero() {
-            fp.zero()
-        } else {
-            fp.sqrt(&rhs).ok_or(EccError::InvalidCompressedPoint)?
-        };
-        let y = if fp.to_biguint(&y).bit(0) == y_is_odd {
-            y
-        } else {
-            fp.neg(&y)
-        };
-        Ok(AffinePoint::Point { x, y })
+        let x = self
+            .fp
+            .from_canonical(x)
+            .ok_or(EccError::InvalidCompressedPoint)?;
+        let point = self
+            .lift_x(&x, y_is_odd)
+            .ok_or(EccError::InvalidCompressedPoint)?;
+        match self.compress_point(&point) {
+            Ok((_, odd)) if odd == y_is_odd => Ok(point),
+            _ => Err(EccError::InvalidCompressedPoint),
+        }
     }
 
     /// A uniformly random point obtained by sampling x-coordinates until the
@@ -694,20 +681,11 @@ impl Curve {
     }
 
     /// Lifts an x-coordinate to a point if possible, choosing the root by
-    /// `odd_y`.
+    /// `odd_y` (a point with `y = 0` is returned whatever `odd_y` asks).
     pub fn lift_x(&self, x: &FpElement, odd_y: bool) -> Option<AffinePoint> {
         let fp = &self.fp;
-        let rhs = fp.add(
-            &fp.add(&fp.mul(x, &fp.square(x)), &fp.mul(&self.a, x)),
-            &self.b,
-        );
-        if rhs.is_zero() {
-            return Some(AffinePoint::Point {
-                x: *x,
-                y: fp.zero(),
-            });
-        }
-        let y = fp.sqrt(&rhs)?;
+        let rhs = self.rhs(x);
+        let y = if rhs.is_zero() { rhs } else { fp.sqrt(&rhs)? };
         let y = if fp.to_biguint(&y).bit(0) == odd_y {
             y
         } else {
@@ -736,14 +714,7 @@ impl Curve {
         let p = self.fp.modulus().to_u64().expect("toy field fits in u64");
         let mut count = 1u64; // point at infinity
         for xi in 0..p {
-            let x = self.fp.from_u64(xi);
-            let rhs = self.fp.add(
-                &self.fp.add(
-                    &self.fp.mul(&x, &self.fp.square(&x)),
-                    &self.fp.mul(&self.a, &x),
-                ),
-                &self.b,
-            );
+            let rhs = self.rhs(&self.fp.from_u64(xi));
             if rhs.is_zero() {
                 count += 1;
             } else if self.fp.is_square(&rhs) {
@@ -832,38 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_positional_constructor_matches_spec_path() {
-        // The shim must keep building the same curve as the CurveSpec path
-        // until it is removed.
-        #[allow(deprecated)]
-        let shimmed = Curve::new(
-            &BigUint::from(1009u64),
-            &BigUint::one(),
-            &BigUint::from(6u64),
-            &BigUint::from(1u64),
-            &BigUint::from(878u64),
-            Some(BigUint::from(1020u64)),
-            "toy-1009",
-        )
-        .unwrap();
-        let speced = CurveSpec::new(
-            BigUint::from(1009u64),
-            BigUint::one(),
-            BigUint::from(6u64),
-            BigUint::from(1u64),
-            BigUint::from(878u64),
-        )
-        .order(BigUint::from(1020u64))
-        .name("toy-1009")
-        .build()
-        .unwrap();
-        assert_eq!(shimmed.base_point(), speced.base_point());
-        assert_eq!(shimmed.order(), speced.order());
-        assert_eq!(shimmed.name(), speced.name());
-        assert_eq!(shimmed.bits(), speced.bits());
-    }
-
-    #[test]
     fn hardcoded_generators_match_a_fresh_scan() {
         // params.rs pins the generators the original constructors found by
         // scanning x = 1, 2, ... — re-run the scan and compare.
@@ -936,28 +875,40 @@ mod tests {
             let p = curve.random_point(&mut rng);
             let q = curve.random_point(&mut rng);
             let jp = curve.to_jacobian(&p);
-            let jq = curve.to_jacobian(&q);
             assert_eq!(
-                curve.to_affine(&curve.jacobian_add(&jp, &jq)),
+                curve.to_affine(&curve.jacobian_add_mixed(&jp, &q)),
                 curve.add(&p, &q)
             );
             assert_eq!(
                 curve.to_affine(&curve.jacobian_double(&jp)),
                 curve.double(&p)
             );
-            // Adding a point to itself through the Jacobian path degrades to
-            // doubling correctly.
+            // A generic-Z accumulator: 2P + Q against the affine law.
+            let two_p = curve.jacobian_double(&jp);
             assert_eq!(
-                curve.to_affine(&curve.jacobian_add(&jp, &jp)),
+                curve.to_affine(&curve.jacobian_add_mixed(&two_p, &q)),
+                curve.add(&curve.double(&p), &q)
+            );
+            // Adding a point to itself through the Jacobian path degrades to
+            // doubling correctly, and adding its negation cancels.
+            assert_eq!(
+                curve.to_affine(&curve.jacobian_add_mixed(&jp, &p)),
                 curve.double(&p)
             );
+            assert!(curve
+                .jacobian_add_mixed(&jp, &curve.negate(&p))
+                .is_infinity());
         }
         // Infinity handling.
         let inf = curve.to_jacobian(&AffinePoint::Infinity);
         let p = curve.random_point(&mut rng);
         let jp = curve.to_jacobian(&p);
-        assert_eq!(curve.to_affine(&curve.jacobian_add(&inf, &jp)), p);
-        assert_eq!(curve.to_affine(&curve.jacobian_add(&jp, &inf)), p);
+        assert_eq!(curve.to_affine(&curve.jacobian_add_mixed(&inf, &p)), p);
+        assert_eq!(
+            curve.to_affine(&curve.jacobian_add_mixed(&jp, &AffinePoint::Infinity)),
+            p
+        );
+        assert!(curve.to_affine(&inf).is_infinity());
     }
 
     #[test]
@@ -974,10 +925,10 @@ mod tests {
                 curve.to_affine(&curve.jacobian_double_fast(&jp)),
                 curve.double(&p)
             );
-            let generic_z = curve.jacobian_add(&jp, &jp);
+            let generic_z = curve.jacobian_add_mixed(&jp, &p);
             assert_eq!(
                 curve.to_affine(&curve.jacobian_double_fast(&generic_z)),
-                curve.double(&curve.to_affine(&generic_z))
+                curve.double(&curve.double(&p))
             );
         }
         // Degenerate inputs collapse to infinity, as in the general path.
@@ -1001,6 +952,39 @@ mod tests {
                 Err(EccError::PointAtInfinity)
             ));
         }
+    }
+
+    #[test]
+    fn decompression_accepts_only_canonical_encodings() {
+        for curve in [Curve::toy().unwrap(), Curve::p160_reproduction().unwrap()] {
+            let p = curve.fp().modulus().clone();
+            let (x, odd) = curve.compress_point(curve.base_point()).unwrap();
+            assert_eq!(
+                curve.decompress_point(&x, odd).as_ref(),
+                Ok(curve.base_point())
+            );
+            // x + p names the same residue but is not its encoding.
+            assert_eq!(
+                curve.decompress_point(&(&x + &p), odd),
+                Err(EccError::InvalidCompressedPoint),
+                "{}",
+                curve.name()
+            );
+        }
+        // Toy's 2-torsion point (387, 0) has y = 0, which is even: the odd
+        // parity bit names no point.
+        let toy = Curve::toy().unwrap();
+        let x = BigUint::from(387u64);
+        let two_torsion = toy.decompress_point(&x, false).unwrap();
+        assert_eq!(two_torsion.coordinates().unwrap().1, &toy.fp().zero());
+        assert_eq!(
+            toy.compress_point(&two_torsion).unwrap(),
+            (x.clone(), false)
+        );
+        assert_eq!(
+            toy.decompress_point(&x, true),
+            Err(EccError::InvalidCompressedPoint)
+        );
     }
 
     #[test]

@@ -5,9 +5,15 @@
 //! as the torus at equivalent security (Table 3). This crate provides the
 //! comparator: short-Weierstrass curves `y² = x³ + ax + b`, affine and
 //! Jacobian group laws, scalar multiplication (double-and-add, NAF and
-//! fixed-window), point compression and Diffie–Hellman, together with the
-//! per-operation `Fp` multiplication/addition counts that feed the platform
-//! cycle model.
+//! fixed-window), point compression and Diffie–Hellman.
+//!
+//! Each Jacobian point formula and each ladder has one body, written on
+//! the field's stack Montgomery words. The point formulas do not record
+//! into the field's op counter: the platform cycle model prices its own
+//! PA/PD programs, and nothing reads host-side point-op counts. The
+//! counted affine group law ([`Curve::add`], [`Curve::double`]) is the
+//! independent oracle the ladders are tested against
+//! ([`Curve::scalar_mul_reference`]).
 //!
 //! Curves are described by the [`WeierstrassParameters`] trait — constants
 //! as associated data on zero-sized marker types — and built through
@@ -39,7 +45,6 @@
 mod curve;
 mod ecdh;
 mod error;
-pub mod fixed;
 mod params;
 mod point;
 mod scalar;
@@ -47,11 +52,8 @@ mod scalar;
 pub use curve::{Curve, CurveSpec};
 pub use ecdh::EccKeyPair;
 pub use error::EccError;
-pub use fixed::FixedCurve;
 pub use params::{P160Reproduction, Secp256k1, Toy, WeierstrassParameters, P256};
 pub use point::{AffinePoint, JacobianPoint};
-#[allow(deprecated)] // re-exported for one release alongside the Curve methods
-pub use scalar::{affine_window_table, scalar_mul, scalar_mul_base};
 pub use scalar::{naf_digits, window_digits, ScalarMulAlgorithm};
 
 /// One-line import for the common ECC surface: the parameter trait, the

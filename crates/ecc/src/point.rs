@@ -42,7 +42,7 @@ impl AffinePoint {
 ///
 /// Jacobian coordinates avoid the per-operation modular inversion, which is
 /// what the paper's coprocessor point-addition/doubling sequences assume.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct JacobianPoint {
     /// Projective X coordinate.
     pub x: FpElement,
@@ -61,8 +61,8 @@ impl JacobianPoint {
     /// Returns `true` when this point is in normalized (affine) form,
     /// `Z = 1` — the representation the mixed-coordinate addition
     /// (`Curve::jacobian_add_mixed` and the platform's `pa_mixed`
-    /// sequence) requires of its second operand. The scalar ladder
-    /// maintains this invariant for its addend by construction.
+    /// sequence) requires of its second operand. The scalar ladders meet
+    /// it by type: their addends are [`AffinePoint`]s.
     pub fn is_normalized(&self, fp: &FpContext) -> bool {
         self.z == fp.one()
     }

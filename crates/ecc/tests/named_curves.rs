@@ -10,7 +10,6 @@
 
 use bignum::BigUint;
 use ecc::prelude::*;
-use proptest::prelude::*;
 use rand::SeedableRng;
 
 fn hex(s: &str) -> BigUint {
@@ -150,67 +149,5 @@ fn trait_invariants_hold_for_every_registered_curve() {
             curve.shared_secret(bob.secret(), alice.public()).unwrap(),
             "{name}"
         );
-    }
-}
-
-/// The curves the deprecated positional constructor used to hardwire,
-/// rebuilt through it, for equivalence with the trait path.
-#[allow(deprecated)]
-fn legacy_curve(name: &str) -> Curve {
-    match name {
-        "p160-reproduction" => {
-            let p = hex("ffffffffffffffffffffffffffffffff7fffffff");
-            let a = &p - &BigUint::from(3u64);
-            Curve::new(
-                &p,
-                &a,
-                &BigUint::from(7u64),
-                &BigUint::from(2u64),
-                &hex("ffffffffffffffffffffffffffffffff7ffffffc"),
-                None,
-                "p160-reproduction",
-            )
-            .unwrap()
-        }
-        "toy-1009" => Curve::new(
-            &BigUint::from(1009u64),
-            &BigUint::from(1u64),
-            &BigUint::from(6u64),
-            &BigUint::from(1u64),
-            &BigUint::from(878u64),
-            Some(BigUint::from(1020u64)),
-            "toy-1009",
-        )
-        .unwrap(),
-        other => panic!("no legacy constructor for {other}"),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// `from_parameters::<P160Reproduction>()` is the same group as the
-    /// legacy positional construction: same generator, and the same ladder
-    /// output on random scalars.
-    #[test]
-    fn p160_trait_path_matches_legacy_constructor(seed in 0u64..1_000_000) {
-        let trait_curve = Curve::from_parameters::<P160Reproduction>().unwrap();
-        let legacy = legacy_curve("p160-reproduction");
-        prop_assert_eq!(trait_curve.base_point(), legacy.base_point());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let k = BigUint::random_bits(&mut rng, 160);
-        prop_assert_eq!(trait_curve.scalar_mul_base(&k), legacy.scalar_mul_base(&k));
-    }
-
-    /// Same equivalence for the toy curve, including the declared order.
-    #[test]
-    fn toy_trait_path_matches_legacy_constructor(seed in 0u64..1_000_000) {
-        let trait_curve = Curve::from_parameters::<Toy>().unwrap();
-        let legacy = legacy_curve("toy-1009");
-        prop_assert_eq!(trait_curve.base_point(), legacy.base_point());
-        prop_assert_eq!(trait_curve.order(), legacy.order());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let k = BigUint::random_bits(&mut rng, 16);
-        prop_assert_eq!(trait_curve.scalar_mul_base(&k), legacy.scalar_mul_base(&k));
     }
 }

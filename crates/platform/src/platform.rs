@@ -618,7 +618,7 @@ impl Platform {
             }
             if k.bit(i) {
                 acc = Some(match acc.take() {
-                    None => jp.clone(),
+                    None => jp,
                     Some(cur) => {
                         let (sum, r) = if mixed {
                             self.execute_ecc_point_addition_mixed(pa_program, curve, &cur, point)

@@ -1,7 +1,7 @@
 //! Known-answer tests pinning `bignum::fixed::MontgomeryContext` to the
 //! heap `MontgomeryParams` backend on the standards 256-bit moduli, plus
-//! the published secp256k1/P-256 generator multiples re-run through the
-//! fixed-width curve ladder.
+//! the published secp256k1/P-256 generator multiples re-run through every
+//! ladder `Curve::scalar_mul` offers.
 //!
 //! Both backends use the Montgomery radix `R = 2^256` on these moduli
 //! (8 × 32-bit heap limbs, 4 × 64-bit fixed limbs), so everything —
@@ -13,7 +13,6 @@
 use bignum::fixed::{MontgomeryContext, Uint};
 use bignum::{BigUint, MontgomeryParams};
 use ecc::prelude::*;
-use field::FpElement;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -123,41 +122,9 @@ fn known_products_match_on_the_secp256k1_modulus() {
 }
 
 #[test]
-fn backend_presence_matches_field_width() {
-    // Every field of at most 256 bits has the fixed backend, so every
-    // registered curve — 256, 160 and 10 bits wide — gets the stack
-    // ladders, computing in its own field's Montgomery context.
-    for name in ["secp256k1", "p256", "p160-reproduction", "toy-1009"] {
-        let curve = Curve::by_name(name).unwrap();
-        let backend = curve.fixed_backend();
-        assert_eq!(
-            backend.context().modulus().to_biguint(),
-            *curve.fp().modulus(),
-            "{name}: backend modulus"
-        );
-        assert_eq!(
-            backend.context().one_mont(),
-            *curve.fp().one().mont_repr(),
-            "{name}: shared Montgomery radix"
-        );
-        assert_eq!(backend.a_is_minus_three(), curve.a_is_minus_three());
-    }
-}
-
-/// Runs `k · G` directly through the fixed backend (no dispatch), returning
-/// the affine result as field elements.
-fn fixed_mul_base(curve: &Curve, k: u64) -> Option<(FpElement, FpElement)> {
-    let (gx, gy) = curve.base_point().coordinates().expect("G is finite");
-    curve
-        .fixed_backend()
-        .scalar_mul(gx.mont_repr(), gy.mont_repr(), &Uint::from_u64(k))
-        .map(|(x, y)| (FpElement::from_mont_repr(x), FpElement::from_mont_repr(y)))
-}
-
-#[test]
 fn fixed_ladder_reproduces_published_generator_multiples() {
-    // The same SEC 2 / FIPS 186-4 vectors `tests/named_curves.rs` pins on
-    // the Curve-level ladder, this time evaluated on the stack backend alone.
+    // The SEC 2 / FIPS 186-4 vectors, through double-and-add, NAF and the
+    // base-point comb.
     let vectors = [
         (
             "secp256k1",
@@ -174,19 +141,40 @@ fn fixed_ladder_reproduces_published_generator_multiples() {
     ];
     for (name, x2, y2, x6) in vectors {
         let curve = Curve::by_name(name).unwrap();
-        let (gx2, gy2) = fixed_mul_base(&curve, 2).expect("2G is finite");
-        assert_eq!(gx2, curve.fp().from_biguint(&hex(x2)), "{name}: x(2G)");
-        assert_eq!(gy2, curve.fp().from_biguint(&hex(y2)), "{name}: y(2G)");
-        let (gx6, _) = fixed_mul_base(&curve, 6).expect("6G is finite");
-        assert_eq!(gx6, curve.fp().from_biguint(&hex(x6)), "{name}: x(6G)");
+        let fp = curve.fp();
+        for algorithm in [
+            ScalarMulAlgorithm::DoubleAndAdd,
+            ScalarMulAlgorithm::Naf,
+            ScalarMulAlgorithm::Window4,
+        ] {
+            let mul = |k: u64| curve.scalar_mul(curve.base_point(), &BigUint::from(k), algorithm);
+            let two_g = mul(2);
+            let (gx2, gy2) = two_g.coordinates().expect("2G is finite");
+            assert_eq!(
+                *gx2,
+                fp.from_biguint(&hex(x2)),
+                "{name} {algorithm:?}: x(2G)"
+            );
+            assert_eq!(
+                *gy2,
+                fp.from_biguint(&hex(y2)),
+                "{name} {algorithm:?}: y(2G)"
+            );
+            let six_g = mul(6);
+            let (gx6, _) = six_g.coordinates().expect("6G is finite");
+            assert_eq!(
+                *gx6,
+                fp.from_biguint(&hex(x6)),
+                "{name} {algorithm:?}: x(6G)"
+            );
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The dispatching ladder (which routes double-and-add through the
-    /// fixed backend) agrees with the Curve-level reference ladder on
+    /// The double-and-add ladder agrees with the affine reference on
     /// random full-width scalars, on the named 256-bit curves and the
     /// paper's 160-bit curve.
     #[test]

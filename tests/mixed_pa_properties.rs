@@ -1,17 +1,17 @@
 //! Property-based tests for the mixed-coordinate ECC point addition (the
 //! fourth layer of the cost model, `CostModel::mixed_coordinate_pa`):
 //!
-//! * **functional equality** — the mixed formulas (`Z2 = 1`) and the
-//!   general Jacobian addition produce the *same point* whenever the
-//!   addend is affine, across random curves, points and scalars, both in
-//!   the host `ecc` crate and through the simulated platform sequences;
+//! * **functional equality** — the host mixed formulas (`Z2 = 1`) land on
+//!   the same point as the affine chord-and-tangent law, across random
+//!   curves, points and scalars, and the simulated mixed platform
+//!   sequence matches the simulated general one;
 //! * **never slower** — the 13-MM mixed sequence costs at most the 16-MM
 //!   general sequence at every operand length, under both hierarchies and
-//!   both schedules;
-//! * **ladder invariant** — every addend a ladder feeds to the mixed
-//!   addition is in normalized (`Z = 1`) form: the base point and its
-//!   negation trivially, and the windowed ladder's precomputed table by
-//!   its one-time normalization.
+//!   both schedules.
+//!
+//! The ladder invariant — every addend fed to the mixed addition is in
+//! normalized (`Z = 1`) form — holds by type: `Curve::jacobian_add_mixed`
+//! takes an `AffinePoint`.
 
 use bignum::BigUint;
 use ecc::{AffinePoint, Curve, CurveSpec, ScalarMulAlgorithm};
@@ -52,9 +52,9 @@ fn random_toy_curve(seed: u64) -> Option<Curve> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// (a) Mixed and general addition agree on every `Z2 = 1` input: for
-    /// random curves and scalars, adding `k·P` (accumulated, arbitrary Z)
-    /// and `m·P` (affine) through both paths lands on the same point.
+    /// (a) Mixed addition agrees with the affine law on every `Z2 = 1`
+    /// input: for random curves and scalars, adding `k·P` (accumulated,
+    /// arbitrary Z) and `m·P` (affine) lands on the same point both ways.
     #[test]
     fn mixed_equals_general_on_affine_addends(seed in 0u64..1_000_000, k in 1u64..500, m in 1u64..500) {
         let curve = random_toy_curve(seed);
@@ -68,23 +68,32 @@ proptest! {
         ));
         let addend = curve.scalar_mul(&base, &BigUint::from(m), ScalarMulAlgorithm::DoubleAndAdd);
         let mixed = curve.jacobian_add_mixed(&acc, &addend);
-        let general = curve.jacobian_add(&acc, &curve.to_jacobian(&addend));
-        prop_assert_eq!(curve.to_affine(&mixed), curve.to_affine(&general));
+        let affine = curve.add(&curve.to_affine(&acc), &addend);
+        prop_assert_eq!(curve.to_affine(&mixed), affine);
     }
 
-    /// (a, ladder level) All three ladder algorithms — every addition now
-    /// mixed — still agree with each other and with first principles.
+    /// (a, ladder level) All three ladder algorithms — every addition
+    /// mixed — agree with the affine reference, on the base point (where
+    /// `Window4` takes the comb) and on `2·G` (where it builds a per-call
+    /// window table).
     #[test]
     fn mixed_ladders_agree_across_algorithms(seed in 0u64..1_000_000, k in 0u64..100_000) {
         let curve = random_toy_curve(seed);
         prop_assume!(curve.is_some());
         let curve = curve.unwrap();
-        let p = curve.base_point().clone();
+        let g = curve.base_point().clone();
         let k = BigUint::from(k);
-        let reference = curve.scalar_mul(&p, &k, ScalarMulAlgorithm::DoubleAndAdd);
-        prop_assert_eq!(curve.scalar_mul(&p, &k, ScalarMulAlgorithm::Naf), reference.clone());
-        prop_assert_eq!(curve.scalar_mul(&p, &k, ScalarMulAlgorithm::Window4), reference.clone());
-        prop_assert!(curve.is_on_curve(&reference));
+        for p in [g.clone(), curve.double(&g)] {
+            let reference = curve.scalar_mul_reference(&p, &k, ScalarMulAlgorithm::DoubleAndAdd);
+            for algorithm in [
+                ScalarMulAlgorithm::DoubleAndAdd,
+                ScalarMulAlgorithm::Naf,
+                ScalarMulAlgorithm::Window4,
+            ] {
+                prop_assert_eq!(curve.scalar_mul(&p, &k, algorithm), reference.clone());
+            }
+            prop_assert!(curve.is_on_curve(&reference));
+        }
     }
 
     /// (b) The mixed sequence never costs more than the general one: at
@@ -114,29 +123,6 @@ proptest! {
                 );
                 prop_assert_eq!(mixed.modmuls, 13);
                 prop_assert_eq!(general.modmuls, 16);
-            }
-        }
-    }
-
-    /// (c) The windowed ladder's one-time normalization holds: every table
-    /// entry the main loop may feed to the mixed addition is in `Z = 1`
-    /// form and is the correct multiple of the base point.
-    #[test]
-    fn window_table_addends_are_normalized_multiples(seed in 0u64..1_000_000, window in 2usize..5) {
-        let curve = random_toy_curve(seed);
-        prop_assume!(curve.is_some());
-        let curve = curve.unwrap();
-        let p = curve.base_point().clone();
-        let table = curve.affine_window_table(&p, window);
-        prop_assert_eq!(table.len(), 1 << window);
-        for (i, entry) in table.iter().enumerate() {
-            let expected = curve.scalar_mul(&p, &BigUint::from(i as u64), ScalarMulAlgorithm::DoubleAndAdd);
-            prop_assert_eq!(entry.clone(), expected);
-            // Affine entries lift to normalized Jacobian form — the mixed
-            // sequence's precondition — except the identity, which the
-            // main loop skips (digit 0 adds nothing).
-            if !entry.is_infinity() {
-                prop_assert!(curve.to_jacobian(entry).is_normalized(curve.fp()));
             }
         }
     }
