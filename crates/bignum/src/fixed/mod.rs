@@ -9,7 +9,9 @@
 //! - [`Uint`]: the `Copy` const-generic integer with explicit
 //!   carry/borrow/widening arithmetic and `BigUint` conversions.
 //! - [`MontgomeryContext`]: CIOS Montgomery multiplication, exponentiation
-//!   and Fermat inversion with zero allocation past setup, mirroring
+//!   (a fixed-shape window variant for secret exponents), the double-width
+//!   reduction [`MontgomeryContext::to_mont_wide`] and Fermat inversion
+//!   with zero allocation past setup, mirroring
 //!   [`MontgomeryParams`](crate::MontgomeryParams). At matching radix
 //!   (`num_limbs() == 2·LIMBS`, e.g. 256-bit moduli at `LIMBS = 4`) the two
 //!   backends share `R`, making Montgomery forms interchangeable and
@@ -22,12 +24,14 @@
 //! - Free modular helpers ([`add_mod`], [`sub_mod`], [`neg_mod`],
 //!   [`mul_mod`], [`reduce_wide`]) for reduced fixed-width residues.
 //!
-//! Higher layers do not construct these directly: every `field::FpContext`
-//! (any odd modulus of at most 256 bits) stores its elements as `Uint<4>`
-//! in one `MontgomeryContext<4>`, and `ecc` runs its curve ladders on that
-//! context. The differential proptest suite
-//! (`tests/fixed_uint_properties.rs`) pins every operation here to the heap
-//! backend bit for bit.
+//! Every `field::FpContext` (any odd modulus of at most 256 bits) stores
+//! its elements as `Uint<4>` in one `MontgomeryContext<4>`, and `ecc` runs
+//! its curve ladders on that context. `rsa_torus` keeps an RSA key of up
+//! to 1024 bits in a `MontgomeryContext<16>` for `n` and two
+//! `MontgomeryContext<8>` for the CRT halves, and runs its private
+//! exponents on [`MontgomeryContext::mont_pow_secret`]. The differential
+//! proptest suite (`tests/fixed_uint_properties.rs`) pins every operation
+//! here to the heap backend bit for bit.
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]

@@ -1,7 +1,7 @@
 //! Fixed-width Montgomery arithmetic (CIOS, no allocation in the loop).
 
 use super::modular::reduce_wide;
-use super::uint::Uint;
+use super::uint::{Uint, FIXED_LIMB_BITS};
 use crate::limb::{carrying_add64, inv_mod_limb64, mac64};
 use crate::BigUint;
 
@@ -17,7 +17,8 @@ use crate::BigUint;
 ///
 /// Construction may allocate (it reduces with `BigUint`); every operation
 /// afterwards — [`mont_mul`](Self::mont_mul) (a word-level CIOS schedule),
-/// [`mont_pow`](Self::mont_pow), [`mod_exp`](Self::mod_exp),
+/// [`to_mont_wide`](Self::to_mont_wide), [`mont_pow`](Self::mont_pow),
+/// [`mont_pow_secret`](Self::mont_pow_secret), [`mod_exp`](Self::mod_exp),
 /// [`mont_inv_prime`](Self::mont_inv_prime) — runs entirely on stack
 /// arrays.
 ///
@@ -37,7 +38,7 @@ use crate::BigUint;
 ///     (&a.to_biguint() * &b.to_biguint()) % &p
 /// );
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MontgomeryContext<const LIMBS: usize> {
     modulus: Uint<LIMBS>,
     /// `p' = -p^{-1} mod 2^64`, the CIOS per-modulus constant.
@@ -46,7 +47,14 @@ pub struct MontgomeryContext<const LIMBS: usize> {
     r_mod: Uint<LIMBS>,
     /// `R^2 mod p` — the to-Montgomery conversion factor.
     r2: Uint<LIMBS>,
+    /// `R^3 mod p` — the to-Montgomery factor after a double-width REDC.
+    r3: Uint<LIMBS>,
 }
+
+/// Window width of [`MontgomeryContext::mont_pow_secret`], in bits. It
+/// divides the limb width, so a window never straddles two limbs.
+const SECRET_WINDOW: usize = 4;
+const _: () = assert!(FIXED_LIMB_BITS.is_multiple_of(SECRET_WINDOW));
 
 impl<const LIMBS: usize> MontgomeryContext<LIMBS> {
     /// Creates a context for an odd modulus `> 1` that fits in `LIMBS`
@@ -64,12 +72,15 @@ impl<const LIMBS: usize> MontgomeryContext<LIMBS> {
         let r = BigUint::one().shl_bits(Uint::<LIMBS>::BITS);
         let r_mod = Uint::from_biguint(&(&r % modulus)).expect("R mod p < p fits");
         let r2 = Uint::from_biguint(&(&(&r * &r) % modulus)).expect("R^2 mod p < p fits");
-        Some(MontgomeryContext {
+        let mut ctx = MontgomeryContext {
             modulus: m,
             n0_inv,
             r_mod,
             r2,
-        })
+            r3: Uint::ZERO,
+        };
+        ctx.r3 = ctx.mont_mul(&r2, &r2);
+        Some(ctx)
     }
 
     /// The modulus this context was derived for.
@@ -161,8 +172,63 @@ impl<const LIMBS: usize> MontgomeryContext<LIMBS> {
         }
     }
 
+    /// Montgomery form `T·R mod p` of the double-width value
+    /// `T = hi·R + lo`, for `hi < p`.
+    ///
+    /// One word-serial REDC of `T` gives `T·R⁻¹ mod p` and one
+    /// [`mont_mul`](Self::mont_mul) by `R³ mod p` moves it to `T·R`: two
+    /// Montgomery-sized passes instead of an `O(BITS)` bit-serial
+    /// division. `hi < p` is exactly `T < p·R`, the bound under which the
+    /// REDC result stays below `2p`; an RSA ciphertext `c < p·q` meets it
+    /// for both CRT halves whenever `q < R`.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts `hi < p`.
+    pub fn to_mont_wide(&self, lo: &Uint<LIMBS>, hi: &Uint<LIMBS>) -> Uint<LIMBS> {
+        debug_assert!(hi < &self.modulus, "value must be below p·R");
+        self.mont_mul(&self.redc_wide(lo, hi), &self.r3)
+    }
+
+    /// Word-serial Montgomery reduction `T·R⁻¹ mod p` of `T = hi·R + lo`
+    /// with `T < p·R`.
+    ///
+    /// A `LIMBS`-word window slides up the `2·LIMBS`-word value: each round
+    /// adds the multiple of `p` that zeroes the window's low word, drops
+    /// that word, and takes in the next word of `hi` on top. `t_hi` is the
+    /// carry pending above the window. After `LIMBS` rounds the window
+    /// holds `(T + U·p)/R < (p·R + R·p)/R = 2p`, so one conditional
+    /// subtraction reduces it.
+    fn redc_wide(&self, lo: &Uint<LIMBS>, hi: &Uint<LIMBS>) -> Uint<LIMBS> {
+        let mut t = *lo;
+        let mut t_hi = 0u64;
+        for i in 0..LIMBS {
+            let m = t.limbs[0].wrapping_mul(self.n0_inv);
+            let (_, mut carry) = mac64(t.limbs[0], m, self.modulus.limbs[0], 0);
+            for j in 1..LIMBS {
+                let (lo, c) = mac64(t.limbs[j], m, self.modulus.limbs[j], carry);
+                t.limbs[j - 1] = lo;
+                carry = c;
+            }
+            let (s, c1) = carrying_add64(hi.limbs[i], carry, 0);
+            let (s, c2) = carrying_add64(s, t_hi, 0);
+            t.limbs[LIMBS - 1] = s;
+            t_hi = c1 + c2;
+        }
+        let (diff, borrow) = t.borrowing_sub(&self.modulus, 0);
+        if t_hi != 0 || borrow == 0 {
+            diff
+        } else {
+            t
+        }
+    }
+
     /// Exponentiation of a Montgomery-form base, returning a
     /// Montgomery-form result (left-to-right square-and-multiply).
+    ///
+    /// The multiply steps follow the exponent's bits, so the operation
+    /// sequence depends on `exp`: use it for public exponents only and
+    /// [`mont_pow_secret`](Self::mont_pow_secret) for secret ones.
     pub fn mont_pow(&self, base_mont: &Uint<LIMBS>, exp: &Uint<LIMBS>) -> Uint<LIMBS> {
         let mut acc = self.r_mod;
         for i in (0..exp.bit_len()).rev() {
@@ -170,6 +236,35 @@ impl<const LIMBS: usize> MontgomeryContext<LIMBS> {
             if exp.bit(i) {
                 acc = self.mont_mul(&acc, base_mont);
             }
+        }
+        acc
+    }
+
+    /// Exponentiation of a Montgomery-form base by a **secret** exponent,
+    /// returning a Montgomery-form result bit-identical to
+    /// [`mont_pow`](Self::mont_pow).
+    ///
+    /// Fixed 4-bit windows over all `BITS` bits of `exp`, leading zeros
+    /// included: every window squares four times and multiplies once, and
+    /// the table entry is picked by a masked scan of all 16 entries. The
+    /// sequence of operations and memory accesses is therefore the same
+    /// for every exponent: `BITS` squarings, `BITS/4` multiplications, and
+    /// 15 multiplications to build the table.
+    pub fn mont_pow_secret(&self, base_mont: &Uint<LIMBS>, exp: &Uint<LIMBS>) -> Uint<LIMBS> {
+        let mut table = [self.r_mod; 1 << SECRET_WINDOW];
+        for i in 1..table.len() {
+            table[i] = self.mont_mul(&table[i - 1], base_mont);
+        }
+        // Squarings of R (the leading windows) leave R unchanged.
+        let mut acc = self.r_mod;
+        for w in (0..Uint::<LIMBS>::BITS / SECRET_WINDOW).rev() {
+            for _ in 0..SECRET_WINDOW {
+                acc = self.mont_mul(&acc, &acc);
+            }
+            let bit = w * SECRET_WINDOW;
+            let index = (exp.limbs[bit / FIXED_LIMB_BITS] >> (bit % FIXED_LIMB_BITS))
+                & ((1 << SECRET_WINDOW) - 1);
+            acc = self.mont_mul(&acc, &select(&table, index));
         }
         acc
     }
@@ -388,6 +483,21 @@ impl<const LIMBS: usize> MontgomeryContext<LIMBS> {
         }
         Some(self.from_mont(&self.mont_inv_prime(&self.to_mont(&a))?))
     }
+}
+
+/// `table[index]`, read by touching every entry: each is masked with
+/// all-ones when its position equals `index` and with zero otherwise.
+fn select<const LIMBS: usize, const N: usize>(table: &[Uint<LIMBS>; N], index: u64) -> Uint<LIMBS> {
+    let mut out = Uint::ZERO;
+    for (i, entry) in table.iter().enumerate() {
+        // `i ^ index` is below 2^63, so subtracting 1 sets the top bit
+        // exactly when it is zero.
+        let mask = (((i as u64) ^ index).wrapping_sub(1) >> 63).wrapping_neg();
+        for (o, &l) in out.limbs.iter_mut().zip(&entry.limbs) {
+            *o |= l & mask;
+        }
+    }
+    out
 }
 
 #[cfg(test)]

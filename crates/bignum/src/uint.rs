@@ -109,13 +109,21 @@ impl BigUint {
         s
     }
 
-    /// Parses a big-endian byte string.
+    /// Parses a big-endian byte string (leading zero bytes allowed) in one
+    /// linear pass.
     pub fn from_be_bytes(bytes: &[u8]) -> Self {
-        let mut out = BigUint::zero();
-        for &b in bytes {
-            out = out.shl_bits(8);
-            out = &out + &BigUint::from(b as u64);
-        }
+        // One pass from the least-significant end: each chunk of up to
+        // four bytes is one limb.
+        let limbs = bytes
+            .rchunks(LIMB_BITS / 8)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .fold(0, |acc: Limb, &b| (acc << 8) | Limb::from(b))
+            })
+            .collect();
+        let mut out = BigUint { limbs };
+        out.normalize();
         out
     }
 
@@ -719,6 +727,33 @@ mod tests {
         let v = BigUint::from_hex("0102030405060708090a").unwrap();
         assert_eq!(v.to_be_bytes(), vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(BigUint::from_be_bytes(&v.to_be_bytes()), v);
+    }
+
+    #[test]
+    fn be_bytes_decoding_matches_the_per_byte_definition() {
+        // The definition: shift in one byte at a time.
+        let per_byte = |bytes: &[u8]| {
+            bytes.iter().fold(BigUint::zero(), |acc, &b| {
+                &acc.shl_bits(8) + &BigUint::from(u64::from(b))
+            })
+        };
+        for len in 0..=300usize {
+            // Leading zero bytes every few lengths, then a dense pattern.
+            let bytes: Vec<u8> = (0..len)
+                .map(|i| {
+                    if i < len % 7 {
+                        0
+                    } else {
+                        (i * 151 + len) as u8
+                    }
+                })
+                .collect();
+            let v = BigUint::from_be_bytes(&bytes);
+            assert_eq!(v, per_byte(&bytes), "len {len}");
+            let significant = &bytes[bytes.iter().take_while(|&&b| b == 0).count()..];
+            assert_eq!(v.to_be_bytes(), significant, "len {len}");
+            assert_eq!(BigUint::from_be_bytes(&v.to_be_bytes()), v, "len {len}");
+        }
     }
 
     #[test]

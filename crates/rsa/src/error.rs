@@ -8,6 +8,9 @@ use std::fmt;
 pub enum RsaError {
     /// Requested key size is too small to hold the padding overhead.
     KeyTooSmall(usize),
+    /// Requested key size exceeds the fixed-width backend
+    /// ([`RsaKeyPair::MAX_BITS`](crate::RsaKeyPair::MAX_BITS)).
+    KeyTooLarge(usize),
     /// The message does not fit under the modulus with the required padding.
     MessageTooLong {
         /// Bytes available for the message under this key.
@@ -21,8 +24,9 @@ pub enum RsaError {
     InvalidPadding,
     /// A signature failed verification.
     VerificationFailed,
-    /// Internal arithmetic failure (e.g. non-invertible exponent); indicates
-    /// an unlucky prime pair and is retried internally.
+    /// Internal arithmetic failure: a generated key component does not fit
+    /// the fixed-width backend. Key generation checks the size first, so
+    /// this indicates a bug rather than bad input.
     ArithmeticFailure,
 }
 
@@ -30,6 +34,7 @@ impl fmt::Display for RsaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RsaError::KeyTooSmall(bits) => write!(f, "key size {bits} bits is too small"),
+            RsaError::KeyTooLarge(bits) => write!(f, "key size {bits} bits is too large"),
             RsaError::MessageTooLong { capacity, got } => {
                 write!(
                     f,
@@ -53,6 +58,7 @@ mod tests {
     #[test]
     fn display_messages() {
         assert!(RsaError::KeyTooSmall(64).to_string().contains("64"));
+        assert!(RsaError::KeyTooLarge(2048).to_string().contains("2048"));
         assert!(RsaError::MessageTooLong {
             capacity: 100,
             got: 200

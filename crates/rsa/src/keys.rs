@@ -1,6 +1,8 @@
-//! RSA key generation and the public/private operations.
+//! RSA key generation and the public/private operations, on the
+//! fixed-width `bignum::fixed` backend (see the crate documentation).
 
-use bignum::{gen_prime, mod_inv, BigUint, MontgomeryParams};
+use bignum::fixed::{sub_mod, MontgomeryContext, Uint};
+use bignum::{gen_prime, mod_inv, BigUint};
 use rand::Rng;
 
 use crate::error::RsaError;
@@ -9,25 +11,37 @@ use crate::padding::{pad_encrypt, pad_sign, unpad_encrypt, unpad_sign};
 /// Public exponent used throughout (F4 = 65537).
 const PUBLIC_EXPONENT: u64 = 65_537;
 
+/// Limbs of a modulus `n` of up to [`RsaKeyPair::MAX_BITS`] bits.
+const N_LIMBS: usize = 16;
+/// Limbs of a CRT half: with `q < R = 2^512`, every `c < n = p·q` has a
+/// high half below `p`, which the double-width reduction needs.
+const HALF_LIMBS: usize = N_LIMBS / 2;
+
+/// A residue modulo `n`.
+type Wide = Uint<N_LIMBS>;
+/// A residue modulo `p` or `q`.
+type Half = Uint<HALF_LIMBS>;
+
 /// An RSA public key `(n, e)`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RsaPublicKey {
     n: BigUint,
     e: BigUint,
-    mont: MontgomeryParams,
+    mont: MontgomeryContext<N_LIMBS>,
 }
 
 /// An RSA private key with CRT components.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RsaPrivateKey {
     d: BigUint,
-    p: BigUint,
-    q: BigUint,
-    d_p: BigUint,
-    d_q: BigUint,
-    q_inv: BigUint,
-    mont_p: MontgomeryParams,
-    mont_q: MontgomeryParams,
+    d_n: Wide,
+    mont_p: MontgomeryContext<HALF_LIMBS>,
+    mont_q: MontgomeryContext<HALF_LIMBS>,
+    d_p: Half,
+    d_q: Half,
+    /// `q⁻¹ mod p`, kept plain: the CRT difference it multiplies is in
+    /// Montgomery form, so one `mont_mul` yields the plain product.
+    q_inv: Half,
 }
 
 /// A full RSA key pair.
@@ -59,10 +73,8 @@ impl RsaPublicKey {
     ///
     /// Returns [`RsaError::ValueOutOfRange`] if `m >= n`.
     pub fn raw_encrypt(&self, m: &BigUint) -> Result<BigUint, RsaError> {
-        if m >= &self.n {
-            return Err(RsaError::ValueOutOfRange);
-        }
-        Ok(self.mont.mod_exp(m, &self.e))
+        let m = self.residue(m).ok_or(RsaError::ValueOutOfRange)?;
+        Ok(self.public_op(&m).to_biguint())
     }
 
     /// Encrypts a message with PKCS#1 v1.5-style padding.
@@ -77,21 +89,20 @@ impl RsaPublicKey {
         rng: &mut R,
     ) -> Result<Vec<u8>, RsaError> {
         let block = pad_encrypt(message, self.byte_len(), rng)?;
-        let c = self.raw_encrypt(&BigUint::from_be_bytes(&block))?;
-        Ok(to_fixed_bytes(&c, self.byte_len()))
+        let m = self.decode(&block).ok_or(RsaError::ValueOutOfRange)?;
+        Ok(self.encode(&self.public_op(&m)))
     }
 
-    /// Verifies a signature, returning the recovered digest on success.
+    /// Verifies a signature over `digest`.
     ///
     /// # Errors
     ///
-    /// Returns [`RsaError::VerificationFailed`] if the signature is invalid.
+    /// Returns [`RsaError::VerificationFailed`] if the signature is not
+    /// exactly [`byte_len`](Self::byte_len) bytes, encodes a value `>= n`,
+    /// or does not recover a well-padded `digest`.
     pub fn verify(&self, digest: &[u8], signature: &[u8]) -> Result<(), RsaError> {
-        let s = BigUint::from_be_bytes(signature);
-        let m = self
-            .raw_encrypt(&s)
-            .map_err(|_| RsaError::VerificationFailed)?;
-        let block = to_fixed_bytes(&m, self.byte_len());
+        let s = self.decode(signature).ok_or(RsaError::VerificationFailed)?;
+        let block = self.encode(&self.public_op(&s));
         let recovered = unpad_sign(&block).map_err(|_| RsaError::VerificationFailed)?;
         if recovered == digest {
             Ok(())
@@ -99,17 +110,59 @@ impl RsaPublicKey {
             Err(RsaError::VerificationFailed)
         }
     }
+
+    /// `m^e mod n` for a residue `m < n`.
+    fn public_op(&self, m: &Wide) -> Wide {
+        const E: Wide = Uint::from_u64(PUBLIC_EXPONENT);
+        self.mont.mod_exp(m, &E)
+    }
+
+    /// `v` as a residue, if `v < n`.
+    fn residue(&self, v: &BigUint) -> Option<Wide> {
+        Uint::from_biguint(v).filter(|v| v < self.mont.modulus())
+    }
+
+    /// Decodes an encoding of exactly [`byte_len`](Self::byte_len)
+    /// big-endian bytes, if its value is below `n` (RFC 8017 §§7.2.2, 8.2.2
+    /// step 1 and OS2IP's range check).
+    fn decode(&self, bytes: &[u8]) -> Option<Wide> {
+        if bytes.len() != self.byte_len() {
+            return None;
+        }
+        let mut limbs = [0u64; N_LIMBS];
+        for (i, &b) in bytes.iter().rev().enumerate() {
+            limbs[i / 8] |= u64::from(b) << (8 * (i % 8));
+        }
+        Some(Uint::from_limbs(limbs)).filter(|v| v < self.mont.modulus())
+    }
+
+    /// The big-endian encoding of a residue in [`byte_len`](Self::byte_len)
+    /// bytes.
+    fn encode(&self, v: &Wide) -> Vec<u8> {
+        let mut out = vec![0u8; self.byte_len()];
+        for (i, byte) in out.iter_mut().rev().enumerate() {
+            *byte = (v.limbs()[i / 8] >> (8 * (i % 8))) as u8;
+        }
+        out
+    }
 }
 
 impl RsaKeyPair {
+    /// The widest supported modulus, in bits: the 16-limb backend's width.
+    pub const MAX_BITS: usize = Wide::BITS;
+
     /// Generates a fresh key pair with an `bits`-bit modulus.
     ///
     /// # Errors
     ///
-    /// Returns [`RsaError::KeyTooSmall`] if `bits < 128`.
+    /// Returns [`RsaError::KeyTooSmall`] if `bits < 128` and
+    /// [`RsaError::KeyTooLarge`] if `bits > MAX_BITS`.
     pub fn generate<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> Result<Self, RsaError> {
         if bits < 128 {
             return Err(RsaError::KeyTooSmall(bits));
+        }
+        if bits > Self::MAX_BITS {
+            return Err(RsaError::KeyTooLarge(bits));
         }
         let e = BigUint::from(PUBLIC_EXPONENT);
         loop {
@@ -132,20 +185,22 @@ impl RsaKeyPair {
             let Some(q_inv) = mod_inv(&q, &p) else {
                 continue;
             };
-            let mont = MontgomeryParams::new(&n).expect("n = p*q is odd");
-            let mont_p = MontgomeryParams::new(&p).expect("p is odd");
-            let mont_q = MontgomeryParams::new(&q).expect("q is odd");
+            // n has at most MAX_BITS bits and p, q at most MAX_BITS/2, so
+            // every conversion below fits its width.
             return Ok(RsaKeyPair {
-                public: RsaPublicKey { n, e, mont },
+                public: RsaPublicKey {
+                    mont: MontgomeryContext::new(&n).ok_or(RsaError::ArithmeticFailure)?,
+                    n,
+                    e,
+                },
                 private: RsaPrivateKey {
+                    d_n: Uint::from_biguint(&d).ok_or(RsaError::ArithmeticFailure)?,
                     d,
-                    p,
-                    q,
-                    d_p,
-                    d_q,
-                    q_inv,
-                    mont_p,
-                    mont_q,
+                    mont_p: MontgomeryContext::new(&p).ok_or(RsaError::ArithmeticFailure)?,
+                    mont_q: MontgomeryContext::new(&q).ok_or(RsaError::ArithmeticFailure)?,
+                    d_p: Uint::from_biguint(&d_p).ok_or(RsaError::ArithmeticFailure)?,
+                    d_q: Uint::from_biguint(&d_q).ok_or(RsaError::ArithmeticFailure)?,
+                    q_inv: Uint::from_biguint(&q_inv).ok_or(RsaError::ArithmeticFailure)?,
                 },
             });
         }
@@ -169,10 +224,10 @@ impl RsaKeyPair {
     ///
     /// Returns [`RsaError::ValueOutOfRange`] if `c >= n`.
     pub fn raw_decrypt(&self, c: &BigUint) -> Result<BigUint, RsaError> {
-        if c >= &self.public.n {
-            return Err(RsaError::ValueOutOfRange);
-        }
-        Ok(self.public.mont.mod_exp(c, &self.private.d))
+        let c = self.public.residue(c).ok_or(RsaError::ValueOutOfRange)?;
+        let mont = &self.public.mont;
+        let m = mont.mont_pow_secret(&mont.to_mont(&c), &self.private.d_n);
+        Ok(mont.from_mont(&m).to_biguint())
     }
 
     /// The raw private operation computed with the Chinese Remainder
@@ -182,37 +237,27 @@ impl RsaKeyPair {
     ///
     /// Returns [`RsaError::ValueOutOfRange`] if `c >= n`.
     pub fn raw_decrypt_crt(&self, c: &BigUint) -> Result<BigUint, RsaError> {
-        if c >= &self.public.n {
-            return Err(RsaError::ValueOutOfRange);
-        }
-        let sk = &self.private;
-        let m_p = sk.mont_p.mod_exp(&(c % &sk.p), &sk.d_p);
-        let m_q = sk.mont_q.mod_exp(&(c % &sk.q), &sk.d_q);
-        // h = q_inv * (m_p - m_q) mod p
-        let diff = if m_p >= m_q {
-            &m_p - &(&m_q % &sk.p)
-        } else {
-            &(&m_p + &sk.p) - &(&m_q % &sk.p)
-        };
-        let diff = &diff % &sk.p;
-        let h = &(&sk.q_inv * &diff) % &sk.p;
-        Ok(&m_q + &(&h * &sk.q))
+        let c = self.public.residue(c).ok_or(RsaError::ValueOutOfRange)?;
+        Ok(self.private_op(&c).to_biguint())
     }
 
     /// Decrypts a padded ciphertext.
     ///
     /// # Errors
     ///
-    /// Returns [`RsaError::InvalidPadding`] if the recovered block is
+    /// Returns [`RsaError::ValueOutOfRange`] if the ciphertext is not
+    /// exactly [`byte_len`](RsaPublicKey::byte_len) bytes or encodes a value
+    /// `>= n`, and [`RsaError::InvalidPadding`] if the recovered block is
     /// malformed.
     pub fn decrypt(&self, ciphertext: &[u8]) -> Result<Vec<u8>, RsaError> {
-        let c = BigUint::from_be_bytes(ciphertext);
-        let m = self.raw_decrypt_crt(&c)?;
-        let block = to_fixed_bytes(&m, self.public.byte_len());
-        unpad_encrypt(&block)
+        let c = self
+            .public
+            .decode(ciphertext)
+            .ok_or(RsaError::ValueOutOfRange)?;
+        unpad_encrypt(&self.public.encode(&self.private_op(&c)))
     }
 
-    /// Signs a digest (PKCS#1 v1.5-style block, full-length exponentiation).
+    /// Signs a digest (PKCS#1 v1.5-style block, CRT exponentiation).
     ///
     /// # Errors
     ///
@@ -220,17 +265,46 @@ impl RsaKeyPair {
     /// capacity.
     pub fn sign(&self, digest: &[u8]) -> Result<Vec<u8>, RsaError> {
         let block = pad_sign(digest, self.public.byte_len())?;
-        let s = self.raw_decrypt_crt(&BigUint::from_be_bytes(&block))?;
-        Ok(to_fixed_bytes(&s, self.public.byte_len()))
+        let m = self
+            .public
+            .decode(&block)
+            .ok_or(RsaError::ValueOutOfRange)?;
+        Ok(self.public.encode(&self.private_op(&m)))
+    }
+
+    /// `c^d mod n` for a residue `c < n`, by CRT (Garner's recombination).
+    fn private_op(&self, c: &Wide) -> Wide {
+        let sk = &self.private;
+        let (p, q) = (&sk.mont_p, &sk.mont_q);
+        // c < p·q < p·R, so the high half of c is below p (and below q).
+        let (lo, hi) = split(c);
+        let m_p = p.mont_pow_secret(&p.to_mont_wide(&lo, &hi), &sk.d_p);
+        let m_q = q.from_mont(&q.mont_pow_secret(&q.to_mont_wide(&lo, &hi), &sk.d_q));
+        // h = q⁻¹·(m_p − m_q) mod p: the difference is in Montgomery form,
+        // and multiplying by the plain q⁻¹ removes its factor R.
+        let diff = sub_mod(&m_p, &p.to_mont_wide(&m_q, &Half::ZERO), p.modulus());
+        let h = p.mont_mul(&diff, &sk.q_inv);
+        // m = m_q + h·q ≤ (q − 1) + (p − 1)·q < n: no carry out.
+        let (hq_lo, hq_hi) = h.mul_wide(q.modulus());
+        join(&hq_lo, &hq_hi).wrapping_add(&join(&m_q, &Half::ZERO))
     }
 }
 
-/// Big-endian encoding left-padded with zeros to exactly `len` bytes.
-fn to_fixed_bytes(v: &BigUint, len: usize) -> Vec<u8> {
-    let bytes = v.to_be_bytes();
-    let mut out = vec![0u8; len.saturating_sub(bytes.len())];
-    out.extend_from_slice(&bytes);
-    out
+/// The low and high halves of a residue modulo `n`.
+fn split(v: &Wide) -> (Half, Half) {
+    let mut lo = [0u64; HALF_LIMBS];
+    let mut hi = [0u64; HALF_LIMBS];
+    lo.copy_from_slice(&v.limbs()[..HALF_LIMBS]);
+    hi.copy_from_slice(&v.limbs()[HALF_LIMBS..]);
+    (Uint::from_limbs(lo), Uint::from_limbs(hi))
+}
+
+/// `hi·2^512 + lo`.
+fn join(lo: &Half, hi: &Half) -> Wide {
+    let mut limbs = [0u64; N_LIMBS];
+    limbs[..HALF_LIMBS].copy_from_slice(lo.limbs());
+    limbs[HALF_LIMBS..].copy_from_slice(hi.limbs());
+    Uint::from_limbs(limbs)
 }
 
 #[cfg(test)]

@@ -9,6 +9,18 @@
 //! encryption/decryption, signatures, and CRT-accelerated private-key
 //! operations.
 //!
+//! Keys are at most [`RsaKeyPair::MAX_BITS`] = 1024 bits, one fixed width:
+//! the public operation runs on a stack `bignum::fixed::MontgomeryContext<16>`
+//! for `n`, and the private one on two `MontgomeryContext<8>` for the CRT
+//! halves `p`, `q`, with no heap allocation past key generation. Private
+//! exponents go through the fixed-window
+//! [`mont_pow_secret`](bignum::fixed::MontgomeryContext::mont_pow_secret),
+//! whose operation sequence does not depend on the exponent. `BigUint`
+//! appears only at the API boundary ([`RsaPublicKey::modulus`],
+//! [`RsaKeyPair::private_exponent`], the `raw_*` operations) and in key
+//! generation. The padded operations accept only encodings of exactly
+//! [`RsaPublicKey::byte_len`] bytes whose value is below `n`.
+//!
 //! # Example
 //!
 //! ```

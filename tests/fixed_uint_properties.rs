@@ -4,7 +4,9 @@
 //! add/sub with carries, widening multiplication, modular reduction,
 //! Montgomery multiplication and exponentiation — round-trips through
 //! `BigUint` and matches the heap result exactly, including the carry-chain
-//! boundary cases (`MAX` limbs, operands equal to the modulus, zero).
+//! boundary cases (`MAX` limbs, operands equal to the modulus, zero). The
+//! fixed-window secret exponentiation and the double-width reduction that
+//! RSA runs on are checked at 4, 8 and 16 limbs.
 //!
 //! The reference values are rebuilt with independent heap arithmetic
 //! (`shl_bits` + add for packing, `bignum::modular` and `MontgomeryParams`
@@ -261,4 +263,92 @@ fn operands_equal_to_the_modulus_reduce_to_zero() {
         Uint::from_u64(1),
         "p + 1 reduces to 1"
     );
+}
+
+/// Checks `mont_pow_secret` against `mont_pow` and `to_mont_wide` against
+/// `BigUint` at one width, on an odd modulus built from `m_limbs`.
+fn check_secret_pow_and_wide_reduction<const L: usize>(
+    m_limbs: [u64; L],
+    base_limbs: [u64; L],
+    random_exp: [u64; L],
+) {
+    let mut m_limbs = m_limbs;
+    m_limbs[0] |= 1;
+    let big_m = big_from_limbs(&m_limbs);
+    if big_m <= BigUint::one() {
+        return;
+    }
+    let ctx = MontgomeryContext::<L>::new(&big_m).expect("odd modulus > 1 fits");
+    let base = ctx.to_mont(&Uint::from_limbs(base_limbs));
+
+    // Exponents {0, 1, 2^k for several k, all-ones, random}.
+    let mut exps = vec![Uint::<L>::ZERO, Uint::from_u64(1), Uint::MAX];
+    for k in [1, 4, 63, 64, Uint::<L>::BITS / 2 + 3, Uint::<L>::BITS - 1] {
+        let mut limbs = [0u64; L];
+        limbs[k / 64] = 1 << (k % 64);
+        exps.push(Uint::from_limbs(limbs));
+    }
+    exps.push(Uint::from_limbs(random_exp));
+    for exp in &exps {
+        assert_eq!(
+            ctx.mont_pow_secret(&base, exp),
+            ctx.mont_pow(&base, exp),
+            "exponent {exp}"
+        );
+    }
+
+    // Double-width values T = hi·R + lo with hi < m: hi ranges over 0,
+    // m - 1 and a reduced random value.
+    let width = BigUint::one().shl_bits(Uint::<L>::BITS);
+    let lo = Uint::from_limbs(random_exp);
+    let top = Uint::<L>::from_limbs(m_limbs).wrapping_sub(&Uint::from_u64(1));
+    for hi in [Uint::ZERO, top, ctx.from_mont(&base)] {
+        let t = &(&hi.to_biguint() * &width) + &lo.to_biguint();
+        let expected = &(&t * &width) % &big_m;
+        assert_eq!(ctx.to_mont_wide(&lo, &hi).to_biguint(), expected, "hi {hi}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn secret_pow_and_wide_reduction_at_4_limbs(
+        m in prop::array::uniform4(any::<u64>()),
+        b in prop::array::uniform4(any::<u64>()),
+        e in prop::array::uniform4(any::<u64>()),
+    ) {
+        check_secret_pow_and_wide_reduction::<4>(m, b, e);
+    }
+
+    #[test]
+    fn secret_pow_and_wide_reduction_at_8_limbs(
+        m in prop::array::uniform8(any::<u64>()),
+        b in prop::array::uniform8(any::<u64>()),
+        e in prop::array::uniform8(any::<u64>()),
+    ) {
+        check_secret_pow_and_wide_reduction::<8>(m, b, e);
+    }
+
+    #[test]
+    fn secret_pow_and_wide_reduction_at_16_limbs(
+        m in prop::collection::vec(any::<u64>(), 16),
+        b in prop::collection::vec(any::<u64>(), 16),
+        e in prop::collection::vec(any::<u64>(), 16),
+    ) {
+        let arr = |v: Vec<u64>| <[u64; 16]>::try_from(v).expect("16 limbs");
+        check_secret_pow_and_wide_reduction::<16>(arr(m), arr(b), arr(e));
+    }
+}
+
+#[test]
+fn secret_pow_and_wide_reduction_at_extreme_moduli() {
+    // The largest odd modulus (R - 1) and a small one far below R.
+    check_secret_pow_and_wide_reduction::<8>([u64::MAX; 8], [u64::MAX; 8], [u64::MAX; 8]);
+    check_secret_pow_and_wide_reduction::<8>(
+        [1_000_000_007, 0, 0, 0, 0, 0, 0, 0],
+        [u64::MAX; 8],
+        [0x0123_4567_89ab_cdef; 8],
+    );
+    check_secret_pow_and_wide_reduction::<16>([u64::MAX; 16], [7; 16], [u64::MAX; 16]);
 }

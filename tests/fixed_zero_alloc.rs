@@ -1,9 +1,10 @@
 //! Zero-allocation regression test for the fixed-width backend.
 //!
 //! The point of `bignum::fixed` is that the hot loops — Montgomery
-//! multiplication, exponentiation, the full scalar-multiplication ladder,
-//! and every `Fp`/`Fp6`/curve operation built on them — run entirely on
-//! stack arrays. This test installs a counting global allocator and
+//! multiplication, exponentiation (the 512-bit fixed-window secret one of
+//! RSA's CRT halves included), the double-width reduction, the full
+//! scalar-multiplication ladder, and every `Fp`/`Fp6`/curve operation
+//! built on them — run entirely on stack arrays. This test installs a counting global allocator and
 //! asserts that, after setup, those loops perform **zero** heap
 //! allocations; a `Vec` sneaking back into the CIOS kernel, a field
 //! element or a point formula would fail here immediately. The counter
@@ -13,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use bignum::fixed::Uint;
+use bignum::fixed::{MontgomeryContext, Uint};
 use bignum::{BigUint, MontgomeryParams};
 use ceilidh::CeilidhParams;
 use ecc::prelude::*;
@@ -94,6 +95,28 @@ fn fixed_backend_loops_do_not_touch_the_heap() {
         "fixed Montgomery/ladder loops must not allocate"
     );
     assert!(curve.is_on_curve(&point));
+}
+
+#[test]
+fn secret_exponentiation_and_wide_reduction_do_not_touch_the_heap() {
+    // An odd 512-bit modulus: the width of one RSA-1024 CRT half.
+    let m = &BigUint::one().shl_bits(511) + &BigUint::from(0x1234_5677u64);
+    let ctx = MontgomeryContext::<8>::new(&m).unwrap();
+    let lo = Uint::<8>::from_limbs([0x0123_4567_89ab_cdef; 8]);
+    let hi = Uint::<8>::from_limbs([0xfedc_ba98_7654_3210, 1, 2, 3, 4, 5, 6, 7]);
+    let exp = Uint::<8>::from_limbs([0x9e37_79b9_7f4a_7c15; 8]);
+
+    let before = allocations();
+    let base = ctx.to_mont_wide(black_box(&lo), black_box(&hi));
+    let powed = ctx.mont_pow_secret(black_box(&base), black_box(&exp));
+    let after = allocations();
+
+    black_box(powed);
+    assert_eq!(
+        after - before,
+        0,
+        "secret exponentiation and double-width reduction must not allocate"
+    );
 }
 
 #[test]
