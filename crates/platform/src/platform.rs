@@ -8,13 +8,18 @@
 //! shims over that path, and the exponentiation/scalar ladders fetch
 //! their programs once before the loop instead of rebuilding and
 //! re-scheduling the same sequence on every iteration.
+//!
+//! Conversions happen once per driver call, at its edges, as on the real
+//! platform: operands enter the coprocessor's Montgomery domain when they
+//! are loaded, a ladder's accumulator stays there from step to step, and
+//! only the final result leaves it.
 
 use std::sync::Arc;
 
-use bignum::{mod_inv, mod_mul, BigUint};
+use bignum::{mod_mul, BigUint};
 use ceilidh::{CeilidhParams, TorusElement};
 use ecc::{AffinePoint, Curve, JacobianPoint};
-use field::{Fp6Context, Fp6Element};
+use field::{Fp6Context, Fp6Element, FpContext};
 
 use crate::coprocessor::Coprocessor;
 use crate::cost::CostModel;
@@ -111,7 +116,7 @@ impl Platform {
     ///
     /// Montgomery products operate on whatever representation the slots
     /// are in; callers needing plain-domain results are responsible for
-    /// the domain conversions (as the `run_*` shims are).
+    /// the domain conversions (as every driver is, once per call).
     ///
     /// # Panics
     ///
@@ -197,51 +202,6 @@ impl Platform {
     }
 
     // ----------------------------------------------------------------- //
-    // Domain conversions (operands are loaded into the coprocessor in    //
-    // Montgomery representation, as on the real platform).               //
-    // ----------------------------------------------------------------- //
-
-    /// `R = 2^{w·s} mod p` for this platform's datapath.
-    fn platform_r(&self, modulus: &BigUint) -> BigUint {
-        let bits = self.cost().word_bits * self.cost().limbs(modulus.bit_len());
-        BigUint::one().shl_bits(bits) % modulus
-    }
-
-    /// Converts a residue into the platform's Montgomery domain.
-    fn to_domain(&self, v: &BigUint, modulus: &BigUint) -> BigUint {
-        mod_mul(v, &self.platform_r(modulus), modulus)
-    }
-
-    /// Converts a platform-domain value back to a plain residue.
-    fn leave_domain(&self, v: &BigUint, modulus: &BigUint) -> BigUint {
-        let r_inv =
-            mod_inv(&self.platform_r(modulus), modulus).expect("R is invertible for odd moduli");
-        mod_mul(v, &r_inv, modulus)
-    }
-
-    /// Reads a Jacobian point out of three consecutive output slots,
-    /// converting back to the plain domain.
-    fn read_jacobian(
-        &self,
-        curve: &Curve,
-        slots: &[BigUint],
-        modulus: &BigUint,
-        base: usize,
-    ) -> JacobianPoint {
-        JacobianPoint {
-            x: curve
-                .fp()
-                .from_biguint(&self.leave_domain(&slots[base], modulus)),
-            y: curve
-                .fp()
-                .from_biguint(&self.leave_domain(&slots[base + 1], modulus)),
-            z: curve
-                .fp()
-                .from_biguint(&self.leave_domain(&slots[base + 2], modulus)),
-        }
-    }
-
-    // ----------------------------------------------------------------- //
     // Table 2: composite (level-2) operations.                           //
     // ----------------------------------------------------------------- //
 
@@ -265,31 +225,8 @@ impl Platform {
         a: &Fp6Element,
         b: &Fp6Element,
     ) -> (Fp6Element, ExecutionReport) {
-        let program = self.compiled(OpKind::Fp6Mul, fp6.fp().modulus().bit_len());
-        self.execute_fp6_multiplication(&program, fp6, a, b)
-    }
-
-    /// [`Platform::run_fp6_multiplication`] against an already-compiled
-    /// program (the exponentiation ladder's compile-once path).
-    fn execute_fp6_multiplication(
-        &self,
-        program: &CompiledProgram,
-        fp6: &Fp6Context,
-        a: &Fp6Element,
-        b: &Fp6Element,
-    ) -> (Fp6Element, ExecutionReport) {
-        let modulus = fp6.fp().modulus().clone();
-        let mut slots = vec![BigUint::zero(); program.slot_budget()];
-        for i in 0..6 {
-            slots[i] = self.to_domain(&fp6.fp().to_biguint(&a.coeffs()[i]), &modulus);
-            slots[6 + i] = self.to_domain(&fp6.fp().to_biguint(&b.coeffs()[i]), &modulus);
-        }
-        let report = self.execute(program, &modulus, &mut slots);
-        let coeffs: [field::FpElement; 6] = std::array::from_fn(|i| {
-            fp6.fp()
-                .from_biguint(&self.leave_domain(&slots[12 + i], &modulus))
-        });
-        (fp6.from_coeffs(coeffs), report)
+        let mut batch = self.run_fp6_multiplication_batch(fp6, &[(a.clone(), b.clone())]);
+        batch.pop().expect("one pair in, one product out")
     }
 
     /// Executes a batch of `Fp6` multiplications against **one** compile
@@ -306,10 +243,39 @@ impl Platform {
         pairs: &[(Fp6Element, Fp6Element)],
     ) -> Vec<(Fp6Element, ExecutionReport)> {
         let program = self.compiled(OpKind::Fp6Mul, fp6.fp().modulus().bit_len());
+        let dom = Domain::new(self.cost(), fp6.fp().modulus());
         pairs
             .iter()
-            .map(|(a, b)| self.execute_fp6_multiplication(&program, fp6, a, b))
+            .map(|(a, b)| {
+                let (a, b) = (dom.enter_fp6(fp6, a), dom.enter_fp6(fp6, b));
+                let (product, report) = self.execute_step(&program, &dom, &a, &b, None);
+                (dom.leave_fp6(fp6, &product), report)
+            })
             .collect()
+    }
+
+    /// One composite step on domain-form operands, in the slot layout
+    /// every program shares: `x` from slot 0, `y` right after it, the `N`
+    /// result slots after `y`, and the curve coefficient `a` (point
+    /// programs only) after the result.
+    fn execute_step<const N: usize>(
+        &self,
+        program: &CompiledProgram,
+        dom: &Domain,
+        x: &[BigUint],
+        y: &[BigUint],
+        a: Option<&BigUint>,
+    ) -> ([BigUint; N], ExecutionReport) {
+        let out = x.len() + y.len();
+        let mut slots = vec![BigUint::zero(); program.slot_budget()];
+        slots[..x.len()].clone_from_slice(x);
+        slots[x.len()..out].clone_from_slice(y);
+        if let Some(a) = a {
+            slots[out + N] = a.clone();
+        }
+        let report = self.execute(program, &dom.modulus, &mut slots);
+        let result = std::array::from_fn(|i| std::mem::take(&mut slots[out + i]));
+        (result, report)
     }
 
     /// Cycle accounting of one `Fp6` multiplication at `bits` operand length
@@ -354,26 +320,9 @@ impl Platform {
         p: &JacobianPoint,
         q: &JacobianPoint,
     ) -> (JacobianPoint, ExecutionReport) {
-        let program = self.compiled(OpKind::EccPaGeneral, curve.fp().modulus().bit_len());
-        self.execute_ecc_point_addition(&program, curve, p, q)
-    }
-
-    fn execute_ecc_point_addition(
-        &self,
-        program: &CompiledProgram,
-        curve: &Curve,
-        p: &JacobianPoint,
-        q: &JacobianPoint,
-    ) -> (JacobianPoint, ExecutionReport) {
-        let modulus = curve.fp().modulus().clone();
-        let mut slots = vec![BigUint::zero(); program.slot_budget()];
-        for (i, c) in [&p.x, &p.y, &p.z, &q.x, &q.y, &q.z].iter().enumerate() {
-            slots[i] = self.to_domain(&curve.fp().to_biguint(c), &modulus);
-        }
-        slots[9] = self.to_domain(&curve.fp().to_biguint(curve.a()), &modulus);
-        let report = self.execute(program, &modulus, &mut slots);
-        let out = self.read_jacobian(curve, &slots, &modulus, 6);
-        (out, report)
+        self.run_point_op(curve, OpKind::EccPaGeneral, p, |dom| {
+            dom.enter_point(curve.fp(), q).to_vec()
+        })
     }
 
     /// Executes one mixed-coordinate point addition on the platform:
@@ -396,33 +345,9 @@ impl Platform {
         p: &JacobianPoint,
         q: &AffinePoint,
     ) -> (JacobianPoint, ExecutionReport) {
-        let program = self.compiled(OpKind::EccPaMixed, curve.fp().modulus().bit_len());
-        self.execute_ecc_point_addition_mixed(&program, curve, p, q)
-    }
-
-    fn execute_ecc_point_addition_mixed(
-        &self,
-        program: &CompiledProgram,
-        curve: &Curve,
-        p: &JacobianPoint,
-        q: &AffinePoint,
-    ) -> (JacobianPoint, ExecutionReport) {
-        let (qx, qy) = q
-            .coordinates()
-            .expect("the mixed PA sequence needs a finite affine addend");
-        let modulus = curve.fp().modulus().clone();
-        let mut slots = vec![BigUint::zero(); program.slot_budget()];
-        for (i, c) in [&p.x, &p.y, &p.z].iter().enumerate() {
-            slots[i] = self.to_domain(&curve.fp().to_biguint(c), &modulus);
-        }
-        // Affine operand in plain form plus the Montgomery lift constant.
-        slots[3] = curve.fp().to_biguint(qx);
-        slots[4] = curve.fp().to_biguint(qy);
-        let r_mod = self.platform_r(&modulus);
-        slots[5] = mod_mul(&r_mod, &r_mod, &modulus);
-        let report = self.execute(program, &modulus, &mut slots);
-        let out = self.read_jacobian(curve, &slots, &modulus, 6);
-        (out, report)
+        self.run_point_op(curve, OpKind::EccPaMixed, p, |dom| {
+            dom.mixed_addend(curve.fp(), q).to_vec()
+        })
     }
 
     /// Executes one Jacobian point doubling on the platform (the general
@@ -432,8 +357,7 @@ impl Platform {
         curve: &Curve,
         p: &JacobianPoint,
     ) -> (JacobianPoint, ExecutionReport) {
-        let program = self.compiled(OpKind::EccPd, curve.fp().modulus().bit_len());
-        self.execute_ecc_point_doubling(&program, curve, p)
+        self.run_point_op(curve, OpKind::EccPd, p, |_| Vec::new())
     }
 
     /// Executes one **fast** Jacobian point doubling on the platform: the
@@ -456,27 +380,25 @@ impl Platform {
             "the fast PD sequence requires a = -3 (curve {:?})",
             curve
         );
-        let program = self.compiled(OpKind::EccPdFast, curve.fp().modulus().bit_len());
-        self.execute_ecc_point_doubling(&program, curve, p)
+        self.run_point_op(curve, OpKind::EccPdFast, p, |_| Vec::new())
     }
 
-    /// Shared marshalling for both doubling programs (identical slot
-    /// layout; the fast program simply never reads the `a` slot).
-    fn execute_ecc_point_doubling(
+    /// The single-call point shims' edges: one domain for the call, `p`,
+    /// `a` and the addend entered, the step run, the result left.
+    fn run_point_op(
         &self,
-        program: &CompiledProgram,
         curve: &Curve,
+        kind: OpKind,
         p: &JacobianPoint,
+        addend: impl FnOnce(&Domain) -> Vec<BigUint>,
     ) -> (JacobianPoint, ExecutionReport) {
-        let modulus = curve.fp().modulus().clone();
-        let mut slots = vec![BigUint::zero(); program.slot_budget()];
-        for (i, c) in [&p.x, &p.y, &p.z].iter().enumerate() {
-            slots[i] = self.to_domain(&curve.fp().to_biguint(c), &modulus);
-        }
-        slots[6] = self.to_domain(&curve.fp().to_biguint(curve.a()), &modulus);
-        let report = self.execute(program, &modulus, &mut slots);
-        let out = self.read_jacobian(curve, &slots, &modulus, 3);
-        (out, report)
+        let fp = curve.fp();
+        let program = self.compiled(kind, fp.modulus().bit_len());
+        let dom = Domain::new(self.cost(), fp.modulus());
+        let a = dom.enter(&fp.to_biguint(curve.a()));
+        let p = dom.enter_point(fp, p);
+        let (out, report) = self.execute_step(&program, &dom, &p, &addend(&dom), Some(&a));
+        (dom.leave_point(fp, &out), report)
     }
 
     // ----------------------------------------------------------------- //
@@ -487,7 +409,9 @@ impl Platform {
     /// representation F1) on the platform.
     ///
     /// The `Fp6` multiplication program is compiled once and executed on
-    /// every ladder step (squarings and multiplications alike).
+    /// every ladder step (squarings and multiplications alike); the base
+    /// and the accumulator enter the Montgomery domain once and stay there
+    /// until the result leaves it.
     pub fn torus_exponentiation(
         &self,
         params: &CeilidhParams,
@@ -496,19 +420,24 @@ impl Platform {
     ) -> (TorusElement, ExecutionReport) {
         let fp6 = params.fp6();
         let program = self.compiled(OpKind::Fp6Mul, fp6.fp().modulus().bit_len());
-        let mut acc = fp6.one();
+        let dom = Domain::new(self.cost(), fp6.fp().modulus());
+        let base = dom.enter_fp6(fp6, base.as_fp6());
+        let mut acc = dom.enter_fp6(fp6, &fp6.one());
         let mut report = ExecutionReport::default();
         for i in (0..exponent.bit_len()).rev() {
-            let (sq, r) = self.execute_fp6_multiplication(&program, fp6, &acc, &acc);
+            let (sq, r) = self.execute_step(&program, &dom, &acc, &acc, None);
             acc = sq;
             report = report.merge(&r);
             if exponent.bit(i) {
-                let (prod, r) = self.execute_fp6_multiplication(&program, fp6, &acc, base.as_fp6());
+                let (prod, r) = self.execute_step(&program, &dom, &acc, &base, None);
                 acc = prod;
                 report = report.merge(&r);
             }
         }
-        (TorusElement::from_fp6_unchecked(acc), report)
+        (
+            TorusElement::from_fp6_unchecked(dom.leave_fp6(fp6, &acc)),
+            report,
+        )
     }
 
     /// Executes a full ECC scalar multiplication (Jacobian double-and-add)
@@ -536,8 +465,7 @@ impl Platform {
         point: &AffinePoint,
         k: &BigUint,
     ) -> (AffinePoint, ExecutionReport) {
-        let (pd_program, pa_program, mixed) = self.ladder_programs(curve);
-        self.scalar_multiplication_with_programs(curve, point, k, &pd_program, &pa_program, mixed)
+        self.scalar_multiplication_with(&self.ladder(curve), curve, point, k)
     }
 
     /// Executes a batch of scalar multiplications over the same curve
@@ -553,25 +481,17 @@ impl Platform {
         curve: &Curve,
         requests: &[(AffinePoint, BigUint)],
     ) -> Vec<(AffinePoint, ExecutionReport)> {
-        let (pd_program, pa_program, mixed) = self.ladder_programs(curve);
+        let ladder = self.ladder(curve);
         requests
             .iter()
-            .map(|(point, k)| {
-                self.scalar_multiplication_with_programs(
-                    curve,
-                    point,
-                    k,
-                    &pd_program,
-                    &pa_program,
-                    mixed,
-                )
-            })
+            .map(|(point, k)| self.scalar_multiplication_with(&ladder, curve, point, k))
             .collect()
     }
 
     /// Fetches (compiling at most once) the doubling and addition
     /// programs the scalar ladder will run on `curve` under the current
-    /// cost-model knobs, plus whether the addition is the mixed sequence.
+    /// cost-model knobs, and enters the curve coefficient `a` into the
+    /// curve's Montgomery domain.
     ///
     /// The variants are no longer hard-coded: [`FormulaDb::best_for`]
     /// derives the cheapest formula eligible under `(curve, cost model)`.
@@ -580,51 +500,56 @@ impl Platform {
     /// requires); the doubling request carries no extra capability and the
     /// database decides between `pd-general` and `dbl-2001-b` from the
     /// curve's `a = -3` structure.
-    fn ladder_programs(&self, curve: &Curve) -> (Arc<CompiledProgram>, Arc<CompiledProgram>, bool) {
+    fn ladder(&self, curve: &Curve) -> Ladder {
         let db = FormulaDb::builtin();
         let pd = db.best_for(OpKind::EccPd, curve, self.cost());
         let pa = db.best_for(OpKind::EccPaMixed, curve, self.cost());
-        let bits = curve.fp().modulus().bit_len();
-        let pd_program = self.compiled(pd.kind(), bits);
-        let pa_program = self.compiled(pa.kind(), bits);
-        let mixed = pa.kind() == OpKind::EccPaMixed;
-        (pd_program, pa_program, mixed)
+        let fp = curve.fp();
+        let bits = fp.modulus().bit_len();
+        let dom = Domain::new(self.cost(), fp.modulus());
+        Ladder {
+            pd: self.compiled(pd.kind(), bits),
+            pa: self.compiled(pa.kind(), bits),
+            a: dom.enter(&fp.to_biguint(curve.a())),
+            dom,
+        }
     }
 
-    /// The double-and-add ladder body against already-fetched programs —
-    /// shared by the single-call and batched scalar-multiplication
-    /// drivers, bit-identical between them.
-    fn scalar_multiplication_with_programs(
+    /// The double-and-add ladder body against an already-prepared
+    /// [`Ladder`] — shared by the single-call and batched
+    /// scalar-multiplication drivers, bit-identical between them. The
+    /// accumulator stays in the Montgomery domain from the first set bit
+    /// to the end.
+    fn scalar_multiplication_with(
         &self,
+        ladder: &Ladder,
         curve: &Curve,
         point: &AffinePoint,
         k: &BigUint,
-        pd_program: &CompiledProgram,
-        pa_program: &CompiledProgram,
-        mixed: bool,
     ) -> (AffinePoint, ExecutionReport) {
         assert!(
             !point.is_infinity(),
             "the platform PA/PD sequences need a finite base point"
         );
+        let (fp, dom, a) = (curve.fp(), &ladder.dom, &ladder.a);
+        let base = dom.enter_point(fp, &curve.to_jacobian(point));
+        let addend = match ladder.pa.kind() {
+            OpKind::EccPaMixed => dom.mixed_addend(fp, point),
+            _ => base.clone(),
+        };
         let mut report = ExecutionReport::default();
-        let jp = curve.to_jacobian(point);
-        let mut acc: Option<JacobianPoint> = None;
+        let mut acc: Option<[BigUint; 3]> = None;
         for i in (0..k.bit_len()).rev() {
             if let Some(cur) = acc.take() {
-                let (doubled, r) = self.execute_ecc_point_doubling(pd_program, curve, &cur);
+                let (doubled, r) = self.execute_step(&ladder.pd, dom, &cur, &[], Some(a));
                 report = report.merge(&r);
                 acc = Some(doubled);
             }
             if k.bit(i) {
                 acc = Some(match acc.take() {
-                    None => jp,
+                    None => base.clone(),
                     Some(cur) => {
-                        let (sum, r) = if mixed {
-                            self.execute_ecc_point_addition_mixed(pa_program, curve, &cur, point)
-                        } else {
-                            self.execute_ecc_point_addition(pa_program, curve, &cur, &jp)
-                        };
+                        let (sum, r) = self.execute_step(&ladder.pa, dom, &cur, &addend, Some(a));
                         report = report.merge(&r);
                         sum
                     }
@@ -633,7 +558,7 @@ impl Platform {
         }
         let result = match acc {
             None => AffinePoint::Infinity,
-            Some(j) => curve.to_affine(&j),
+            Some(j) => curve.to_affine(&dom.leave_point(fp, &j)),
         };
         (result, report)
     }
@@ -649,9 +574,9 @@ impl Platform {
         exponent: &BigUint,
     ) -> (BigUint, ExecutionReport) {
         let mut report = ExecutionReport::default();
-        let r_mod = self.platform_r(modulus);
-        let mut acc = r_mod.clone(); // 1 in the platform domain
-        let base_dom = self.to_domain(&(base % modulus), modulus);
+        let dom = Domain::new(self.cost(), modulus);
+        let mut acc = dom.r.clone(); // 1 in the platform domain
+        let base_dom = dom.enter(&(base % modulus));
         let mm = |a: &BigUint, b: &BigUint, report: &mut ExecutionReport| {
             let r = self.coprocessor.mont_mul(a, b, modulus);
             report.cycles += r.cycles + self.cost().interrupt_cycles;
@@ -666,8 +591,91 @@ impl Platform {
                 acc = mm(&acc.clone(), &base_dom, &mut report);
             }
         }
-        (self.leave_domain(&acc, modulus), report)
+        (dom.leave(&acc), report)
     }
+}
+
+/// The coprocessor's Montgomery domain for one modulus, `R = 2^{w·s}`
+/// on this datapath, built once per driver call.
+///
+/// Operands are loaded into the coprocessor in Montgomery form, as on the
+/// real platform, and every MM/MA/MS returns a canonical residue, so a
+/// value that stays in the domain across ladder steps is bit-identical to
+/// one that leaves and re-enters between them.
+struct Domain {
+    modulus: BigUint,
+    /// `R mod p`: the domain form of 1.
+    r: BigUint,
+    /// `R⁻¹ mod p`.
+    r_inv: BigUint,
+    /// `R² mod p`: the constant the mixed addition lifts its plain affine
+    /// addend with.
+    r2: BigUint,
+}
+
+impl Domain {
+    fn new(cost: &CostModel, modulus: &BigUint) -> Self {
+        assert!(
+            modulus.is_odd(),
+            "the Montgomery domain needs an odd modulus"
+        );
+        let bits = cost.word_bits * cost.limbs(modulus.bit_len());
+        let r = BigUint::one().shl_bits(bits) % modulus;
+        // R⁻¹ = 2^{-bits} mod p: `bits` exact halvings of 1, each of x or
+        // of the even x + p.
+        let halve = |x: BigUint| if x.is_odd() { &x + modulus } else { x }.shr_bits(1);
+        Domain {
+            r_inv: (0..bits).fold(BigUint::one(), |x, _| halve(x)),
+            r2: mod_mul(&r, &r, modulus),
+            modulus: modulus.clone(),
+            r,
+        }
+    }
+
+    /// A plain residue in domain form, `v·R mod p`.
+    fn enter(&self, v: &BigUint) -> BigUint {
+        mod_mul(v, &self.r, &self.modulus)
+    }
+
+    /// A domain-form value back as a plain residue, `v·R⁻¹ mod p`.
+    fn leave(&self, v: &BigUint) -> BigUint {
+        mod_mul(v, &self.r_inv, &self.modulus)
+    }
+
+    fn enter_fp6(&self, fp6: &Fp6Context, x: &Fp6Element) -> [BigUint; 6] {
+        x.coeffs().map(|c| self.enter(&fp6.fp().to_biguint(&c)))
+    }
+
+    fn leave_fp6(&self, fp6: &Fp6Context, v: &[BigUint; 6]) -> Fp6Element {
+        fp6.from_coeffs(v.each_ref().map(|c| fp6.fp().from_biguint(&self.leave(c))))
+    }
+
+    fn enter_point(&self, fp: &FpContext, p: &JacobianPoint) -> [BigUint; 3] {
+        [p.x, p.y, p.z].map(|c| self.enter(&fp.to_biguint(&c)))
+    }
+
+    fn leave_point(&self, fp: &FpContext, v: &[BigUint; 3]) -> JacobianPoint {
+        let [x, y, z] = v.each_ref().map(|c| fp.from_biguint(&self.leave(c)));
+        JacobianPoint { x, y, z }
+    }
+
+    /// The mixed addition's addend block (slots 3..6): `q`'s affine
+    /// coordinates in **plain** form, then the `R² mod p` lift constant.
+    fn mixed_addend(&self, fp: &FpContext, q: &AffinePoint) -> [BigUint; 3] {
+        let (x, y) = q
+            .coordinates()
+            .expect("the mixed PA sequence needs a finite affine addend");
+        [fp.to_biguint(x), fp.to_biguint(y), self.r2.clone()]
+    }
+}
+
+/// What one scalar ladder needs, prepared once per driver call.
+struct Ladder {
+    pd: Arc<CompiledProgram>,
+    pa: Arc<CompiledProgram>,
+    dom: Domain,
+    /// The curve coefficient `a` in domain form.
+    a: BigUint,
 }
 
 /// Deterministic odd modulus used for cycle-only probes.
