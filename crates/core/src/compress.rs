@@ -87,16 +87,18 @@ pub fn compress_t2(params: &CeilidhParams, g: &TorusElement) -> Result<Compresse
     fp3_coords(params, &a)
 }
 
-/// Decompresses three `Fp` values back to a torus (`T2(Fp3)`) element.
+/// Decompresses three `Fp` values back to a torus (`T6`) element.
 ///
-/// The result always satisfies `N_{Fp6/Fp3}(g) = 1`; it lies on the full
-/// torus `T6` only if the coordinates came from [`compress_t2`] applied to a
-/// `T6` element.
+/// Every three coordinates decode to an element of `T2(Fp3)`
+/// (`N_{Fp6/Fp3}(g) = 1`); only those that came from [`compress_t2`]
+/// applied to a `T6` element also have `N_{Fp6/Fp2}(g) = 1`, and only
+/// those are accepted.
 ///
 /// # Errors
 ///
 /// Returns [`CeilidhError::DecompressionFailed`] if a coordinate is not a
-/// canonical residue (`>= p`), so every element has exactly one encoding.
+/// canonical residue (`>= p`), so every element has exactly one encoding,
+/// and [`CeilidhError::NotInTorus`] if the decoded element is not on `T6`.
 pub fn decompress_t2(
     params: &CeilidhParams,
     compressed: &CompressedT2,
@@ -109,6 +111,10 @@ pub fn decompress_t2(
         &canonical(params, u2)?,
     );
     let g = t2_point(params, &a)?;
+    let fp6 = params.fp6();
+    if fp6.norm_to_fp2(&g) != fp6.one() {
+        return Err(CeilidhError::NotInTorus);
+    }
     Ok(TorusElement::from_fp6_unchecked(g))
 }
 
@@ -158,12 +164,11 @@ pub fn decompress(
     let t = candidates
         .get(compressed.hint as usize)
         .ok_or(CeilidhError::DecompressionFailed("hint out of range"))?;
-    let reconstructed = CompressedT2 {
-        coords: [compressed.u0.clone(), compressed.u1.clone(), t.clone()],
-    };
-    let g = decompress_t2(params, &reconstructed)?;
-    debug_assert!(params.is_torus_member(g.as_fp6()));
-    Ok(g)
+    // Every candidate was checked to give a T6 element, so the Fp2 norm
+    // test of `decompress_t2` is skipped.
+    let g = t2_point(params, &embed_fp3(params, &u0, &u1, &canonical(params, t)?))?;
+    debug_assert!(params.is_torus_member(&g));
+    Ok(TorusElement::from_fp6_unchecked(g))
 }
 
 /// Decodes a transmitted coordinate, rejecting encodings `>= p` (which
@@ -374,6 +379,26 @@ mod tests {
             let compressed = compress(&params, &acc).unwrap();
             assert_eq!(decompress(&params, &compressed).unwrap(), acc);
         }
+    }
+
+    #[test]
+    fn factor_two_decoding_accepts_only_t6() {
+        // Almost every triple decodes to T2(Fp3) \ T6; those are refused,
+        // and whatever is accepted is on T6.
+        let params = params();
+        let (mut accepted, mut refused) = (0, 0);
+        for u2 in 0..101u64 {
+            let coords = [5u64, 7, u2].map(BigUint::from);
+            match decompress_t2(&params, &CompressedT2 { coords }) {
+                Ok(g) => {
+                    assert!(params.is_torus_member(g.as_fp6()));
+                    accepted += 1;
+                }
+                Err(CeilidhError::NotInTorus) => refused += 1,
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert!(refused > 90, "accepted {accepted}, refused {refused}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   shared element. This is the flow where CEILIDH's bandwidth advantage
 //!   (Section 1 of the paper) is visible on the wire.
 
-use bignum::BigUint;
+use bignum::{mod_mul, BigUint};
 use rand::Rng;
 
 use crate::compress::{compress, decompress, CompressedTorus};
@@ -47,7 +47,7 @@ pub fn encrypt_element<R: Rng + ?Sized>(
 ) -> ElGamalCiphertext {
     let one = BigUint::one();
     let k = &BigUint::random_below(rng, &(params.q() - &one)) + &one;
-    let c1 = params.pow(&params.generator(), &k);
+    let c1 = params.pow_generator(&k);
     let shared = params.pow(recipient.element(), &k);
     let c2 = params.mul(message, &shared);
     ElGamalCiphertext { c1, c2 }
@@ -103,17 +103,32 @@ pub fn encrypt_hybrid<R: Rng + ?Sized>(
 
 /// Decrypts a hybrid ciphertext.
 ///
+/// The decoded ephemeral `e` lies on `T6` but not necessarily in the
+/// order-`q` subgroup, so its cofactor `h` is cleared first (cofactor
+/// Diffie–Hellman, SEC 1 §3.3.2): the shared element is
+/// `(e^h)^(x·h⁻¹ mod q)`. For an honest `e = g^k` that is `e^x`, as
+/// before; a small-order component of `e` no longer reaches the result,
+/// so it cannot leak `x` modulo the cofactor.
+///
 /// # Errors
 ///
 /// Returns [`CeilidhError::DecompressionFailed`] if the ephemeral key does
-/// not decode to a torus element.
+/// not decode to a torus element, and [`CeilidhError::NotInTorus`] if it
+/// has no component in the order-`q` subgroup (`e^h = 1`).
 pub fn decrypt_hybrid(
     params: &CeilidhParams,
     secret: &SecretKey,
     ciphertext: &HybridCiphertext,
 ) -> Result<Vec<u8>, CeilidhError> {
     let ephemeral = decompress(params, &ciphertext.ephemeral)?;
-    let shared = params.pow(&ephemeral, secret.scalar());
+    // The cofactor is public: a plain square-and-multiply chain, 14
+    // products for `date2008()`'s h = 327.
+    let cleared = params.fp6().exp(ephemeral.as_fp6(), params.cofactor());
+    if cleared == params.fp6().one() {
+        return Err(CeilidhError::NotInTorus);
+    }
+    let exponent = mod_mul(secret.scalar(), &params.cofactor_inverse, params.q());
+    let shared = params.pow(&TorusElement::from_fp6_unchecked(cleared), &exponent);
     let keystream = keystream_from(params, &shared, ciphertext.payload.len());
     Ok(ciphertext
         .payload
@@ -202,6 +217,66 @@ mod tests {
             Err(e) => panic!("unexpected error {e}"),
         }
     }
+
+    #[test]
+    fn small_order_components_of_the_ephemeral_do_not_reach_the_key() {
+        // Φ6(p) = 327·q for date2008(): an ephemeral g^k·s with s of order
+        // 109 or 327 must decrypt exactly like g^k, so that decryption
+        // reveals nothing about the secret key modulo 327.
+        let params = CeilidhParams::date2008().unwrap();
+        let fp6 = params.fp6();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(82);
+        let kp = KeyPair::generate(&params, &mut rng);
+        let has_order_327 = |s: &TorusElement| {
+            [3u64, 109]
+                .iter()
+                .all(|&d| fp6.exp(s.as_fp6(), &BigUint::from(d)) != fp6.one())
+        };
+        let order_327 = loop {
+            let r = fp6.random(&mut rng);
+            let Some(t) = params.project_to_torus(&r) else {
+                continue;
+            };
+            let s = params.pow(&t, params.q());
+            if has_order_327(&s) {
+                break s;
+            }
+        };
+        let order_109 = params.pow(&order_327, &BigUint::from(3u64));
+        assert_ne!(order_109, params.identity());
+
+        let msg = b"the key stays secret modulo 327";
+        let k = BigUint::random_below(&mut rng, params.q());
+        let honest = params.pow_generator(&k);
+        let keystream = keystream_from(&params, &params.pow(kp.public().element(), &k), msg.len());
+        let payload: Vec<u8> = msg.iter().zip(&keystream).map(|(m, k)| m ^ k).collect();
+        for ephemeral in [
+            honest.clone(),
+            params.mul(&honest, &order_109),
+            params.mul(&honest, &order_327),
+        ] {
+            let ct = HybridCiphertext {
+                ephemeral: compress(&params, &ephemeral).unwrap(),
+                payload: payload.clone(),
+            };
+            assert_eq!(
+                decrypt_hybrid(&params, kp.secret(), &ct).unwrap(),
+                msg.to_vec()
+            );
+        }
+        // An ephemeral with no order-q part at all is refused.
+        for small in [order_109, order_327] {
+            let ct = HybridCiphertext {
+                ephemeral: compress(&params, &small).unwrap(),
+                payload: payload.clone(),
+            };
+            assert_eq!(
+                decrypt_hybrid(&params, kp.secret(), &ct).unwrap_err(),
+                CeilidhError::NotInTorus
+            );
+        }
+    }
+
     #[test]
     fn non_canonical_ephemeral_is_rejected() {
         let (params, kp, mut rng) = setup();

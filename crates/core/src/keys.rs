@@ -66,7 +66,7 @@ impl KeyPair {
     /// Builds a key pair from an explicit secret scalar (reduced mod `q`).
     pub fn from_scalar(params: &CeilidhParams, scalar: BigUint) -> Self {
         let scalar = &scalar % params.q();
-        let public = params.pow(&params.generator(), &scalar);
+        let public = params.pow_generator(&scalar);
         KeyPair {
             secret: SecretKey { scalar },
             public: PublicKey { element: public },

@@ -6,12 +6,14 @@
 //! paper evaluates a 170-bit `p` (so `q` has about 340 bits), which gives
 //! the "security of `Fp6`" with transmissions of two `Fp` elements.
 
-use bignum::{gen_prime_congruent, is_prime, BigUint};
+use std::sync::{Arc, OnceLock};
+
+use bignum::{gen_prime_congruent, is_prime, mod_inv, BigUint};
 use field::{F2Repr, FieldError, Fp6Context, Fp6Element, FpContext};
 use rand::Rng;
 
 use crate::error::CeilidhError;
-use crate::torus::TorusElement;
+use crate::torus::{PowTable, TorusElement};
 
 /// Trial-division bound used when splitting `Φ6(p)` into cofactor × prime.
 const SMALL_FACTOR_BOUND: u32 = 100_000;
@@ -30,7 +32,13 @@ pub struct CeilidhParams {
     p: BigUint,
     q: BigUint,
     cofactor: BigUint,
+    /// `h⁻¹ mod q`, so that decryption can clear the cofactor `h` from an
+    /// untrusted ephemeral and still raise it to the secret key.
+    pub(crate) cofactor_inverse: BigUint,
     generator: Fp6Element,
+    // The generator's comb table, built on first use and shared across
+    // clones.
+    pub(crate) comb: Arc<OnceLock<PowTable>>,
 }
 
 impl std::fmt::Debug for CeilidhParams {
@@ -54,8 +62,9 @@ impl CeilidhParams {
     ///
     /// Returns [`CeilidhError::InvalidParameters`] if `p` is not a usable
     /// odd prime of at most [`FpContext::MAX_BITS`] bits, if `p` is not
-    /// ≡ 2, 5 (mod 9), if `q` is trivial, or if `q` does not divide
-    /// `Φ6(p) = p² - p + 1`.
+    /// ≡ 2, 5 (mod 9), if `q` is trivial, if `q` does not divide
+    /// `Φ6(p) = p² - p + 1`, or if `q` is not coprime to the cofactor
+    /// `Φ6(p)/q`.
     pub fn from_components(p: &BigUint, q: &BigUint) -> Result<Self, CeilidhError> {
         let fp = FpContext::new(p).map_err(|e| {
             CeilidhError::InvalidParameters(match e {
@@ -76,6 +85,9 @@ impl CeilidhParams {
         if !rem.is_zero() {
             return Err(CeilidhError::InvalidParameters("q must divide p^2 - p + 1"));
         }
+        let cofactor_inverse = mod_inv(&cofactor, q).ok_or(CeilidhError::InvalidParameters(
+            "q must be coprime to the cofactor",
+        ))?;
 
         let generator = Self::find_generator(&fp6, p, q)?;
         Ok(CeilidhParams {
@@ -85,7 +97,9 @@ impl CeilidhParams {
             p: p.clone(),
             q: q.clone(),
             cofactor,
+            cofactor_inverse,
             generator,
+            comb: Arc::new(OnceLock::new()),
         })
     }
 
@@ -307,6 +321,16 @@ mod tests {
         // trivial q.
         assert!(matches!(
             CeilidhParams::from_components(&BigUint::from(101u64), &BigUint::one()),
+            Err(CeilidhError::InvalidParameters(_))
+        ));
+    }
+
+    #[test]
+    fn rejects_q_dividing_the_cofactor() {
+        // Φ6(23) = 507 = 3·13², so q = 13 leaves the cofactor 39 = 3·13
+        // and has no inverse modulo q.
+        assert!(matches!(
+            CeilidhParams::from_components(&BigUint::from(23u64), &BigUint::from(13u64)),
             Err(CeilidhError::InvalidParameters(_))
         ));
     }

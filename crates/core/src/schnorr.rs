@@ -39,7 +39,7 @@ pub fn sign<R: Rng + ?Sized>(
     let one = BigUint::one();
     for _ in 0..64 {
         let k = &BigUint::random_below(rng, &(params.q() - &one)) + &one;
-        let commitment = params.pow(&params.generator(), &k);
+        let commitment = params.pow_generator(&k);
         let Ok(e) = challenge(params, &commitment, message) else {
             continue; // resample if the commitment is not compressible
         };
@@ -74,7 +74,7 @@ pub fn verify(
         return Err(CeilidhError::VerificationFailed);
     }
     // R' = g^s · y^{-e}; inversion on the torus is a free conjugation.
-    let gs = params.pow(&params.generator(), &signature.s);
+    let gs = params.pow_generator(&signature.s);
     let ye = params.pow(public.element(), &signature.e);
     let r_prime = params.mul(&gs, &params.invert(&ye));
     let e_prime =

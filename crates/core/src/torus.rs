@@ -1,11 +1,20 @@
 //! The torus group `T6(Fp)` and its subgroup of prime order `q`.
 
+use bignum::fixed::Uint;
 use bignum::BigUint;
-use field::Fp6Element;
+use field::{Fp6Element, FpElement};
 use rand::Rng;
 
 use crate::error::CeilidhError;
 use crate::params::CeilidhParams;
+
+/// Window width of [`CeilidhParams::pow`], and tooth count of the comb
+/// behind [`CeilidhParams::pow_generator`].
+const WINDOW: usize = 4;
+
+/// A 16-entry table read by a masked scan: `base^0 … base^15` for `pow`,
+/// the tooth products of `g` for the comb.
+pub(crate) type PowTable = [Fp6Element; 1 << WINDOW];
 
 /// An element of the algebraic torus `T6(Fp)`, stored in representation F1.
 ///
@@ -19,8 +28,11 @@ pub struct TorusElement {
 impl TorusElement {
     /// Wraps an `Fp6` element **without** checking torus membership.
     ///
-    /// Intended for internal use and for benchmarks that construct elements
-    /// they already know are valid; use [`CeilidhParams::lift`] otherwise.
+    /// The value must lie on `T6`: [`CeilidhParams::pow`] squares with a
+    /// formula that holds only there, and returns garbage for any other
+    /// `Fp6` element. Intended for internal use and for benchmarks that
+    /// construct elements they already know are valid; use
+    /// [`CeilidhParams::lift`] otherwise.
     pub fn from_fp6_unchecked(value: Fp6Element) -> Self {
         TorusElement { value }
     }
@@ -87,35 +99,79 @@ impl CeilidhParams {
         }
     }
 
-    /// Exponentiation `g^k` by square-and-multiply over representation F1
-    /// (the operation the paper's platform spends its 20 ms on).
+    /// Exponentiation `base^exponent`, bit-identical to
+    /// [`Fp6Context::exp`](field::Fp6Context::exp) for every `base` on `T6`
+    /// (the exponent is not reduced, so bases outside the order-`q`
+    /// subgroup are raised correctly too).
+    ///
+    /// Fixed 4-bit windows over `⌈max(bits(q), bits(exponent))/4⌉` digits,
+    /// leading zero digits included: every window runs four cyclotomic
+    /// squarings (6M each) and one 18M product by an entry of the table
+    /// `base^0 … base^15` (14 products to build), read by a masked scan of
+    /// all 16 entries. Every exponent below `2^(4⌈bits(q)/4⌉)` therefore
+    /// runs the same operation sequence: 332 S + 83 M + 14 M for the
+    /// 331-bit `q` of [`CeilidhParams::date2008`].
+    ///
+    /// `base` must lie on `T6` (every [`TorusElement`] built by this crate
+    /// does); see [`TorusElement::from_fp6_unchecked`].
     pub fn pow(&self, base: &TorusElement, exponent: &BigUint) -> TorusElement {
-        TorusElement {
-            value: self.fp6().exp(&base.value, exponent),
+        let fp6 = self.fp6();
+        let mut table: PowTable = std::array::from_fn(|_| fp6.one());
+        table[1] = base.value.clone();
+        for i in 2..table.len() {
+            table[i] = fp6.mul(&table[i - 1], &base.value);
         }
+        let windows = self.q().bit_len().max(exponent.bit_len()).div_ceil(WINDOW);
+        let mut acc = fp6.one();
+        for w in (0..windows).rev() {
+            for _ in 0..WINDOW {
+                acc = self.cyclotomic_square(&acc);
+            }
+            let digit =
+                (0..WINDOW).fold(0, |d, j| d | usize::from(exponent.bit(w * WINDOW + j)) << j);
+            acc = fp6.mul(&acc, &self.select(&table, digit));
+        }
+        TorusElement { value: acc }
     }
 
-    /// Windowed exponentiation (used by the exponentiation ablation bench).
+    /// `g^exponent` for the subgroup generator `g`, bit-identical to
+    /// [`pow`](Self::pow) on [`generator`](Self::generator).
     ///
-    /// # Panics
-    ///
-    /// Panics if `window` is 0 or larger than 8.
-    pub fn pow_window(
-        &self,
-        base: &TorusElement,
-        exponent: &BigUint,
-        window: usize,
-    ) -> TorusElement {
-        TorusElement {
-            value: self.fp6().exp_window(&base.value, exponent, window),
+    /// A Lim–Lee comb with four teeth `d = ⌈bits(q)/4⌉` bits apart: the
+    /// table of the 16 products of `g, g^(2^d), g^(2^2d), g^(2^3d)` is
+    /// built on first use (3d cyclotomic squarings and 11 products) and
+    /// shared by every clone of these parameters. Each call then runs `d`
+    /// cyclotomic squarings and `d` always-taken products by a
+    /// masked-scan table entry — 83 S + 83 M for the 331-bit `q` of
+    /// [`CeilidhParams::date2008`]. Exponents of more than `4d` bits are
+    /// first reduced modulo `q`.
+    pub fn pow_generator(&self, exponent: &BigUint) -> TorusElement {
+        let spacing = self.comb_spacing();
+        let reduced;
+        let exponent = if exponent.bit_len() > WINDOW * spacing {
+            reduced = exponent % self.q();
+            &reduced
+        } else {
+            exponent
+        };
+        let fp6 = self.fp6();
+        let table = self.comb.get_or_init(|| self.build_comb());
+        let mut acc = fp6.one();
+        for i in (0..spacing).rev() {
+            acc = self.cyclotomic_square(&acc);
+            let digit = (0..WINDOW).fold(0, |d, t| {
+                d | usize::from(exponent.bit(t * spacing + i)) << t
+            });
+            acc = fp6.mul(&acc, &self.select(table, digit));
         }
+        TorusElement { value: acc }
     }
 
     /// A uniformly random element of the order-`q` subgroup, together with
     /// its discrete logarithm to the generator.
     pub fn random_subgroup_element<R: Rng + ?Sized>(&self, rng: &mut R) -> (BigUint, TorusElement) {
         let exponent = BigUint::random_below(rng, self.q());
-        let element = self.pow(&self.generator(), &exponent);
+        let element = self.pow_generator(&exponent);
         (exponent, element)
     }
 
@@ -137,6 +193,99 @@ impl CeilidhParams {
         } else {
             Some(TorusElement { value: projected })
         }
+    }
+
+    /// The comb's tooth spacing `⌈bits(q)/4⌉`.
+    fn comb_spacing(&self) -> usize {
+        self.q().bit_len().div_ceil(WINDOW)
+    }
+
+    /// The comb table: entry `i` is the product of the teeth
+    /// `g^(2^(t·d))` for the set bits `t` of `i` (entry 0 is 1).
+    fn build_comb(&self) -> PowTable {
+        let fp6 = self.fp6();
+        let mut table: PowTable = std::array::from_fn(|_| fp6.one());
+        let mut tooth = self.generator().into_fp6();
+        for t in 0..WINDOW {
+            if t > 0 {
+                for _ in 0..self.comb_spacing() {
+                    tooth = self.cyclotomic_square(&tooth);
+                }
+            }
+            let bit = 1 << t;
+            for low in 1..bit {
+                table[bit | low] = fp6.mul(&table[low], &tooth);
+            }
+            table[bit] = tooth.clone();
+        }
+        table
+    }
+
+    /// `x²` for `x` on `T6` in 6M (Granger–Scott, PKC 2010); wrong for any
+    /// other `Fp6` element.
+    ///
+    /// Over `Fp2 = Fp[w]/(w² + w + 1)` with `w = z³`, F1 is
+    /// `Fp2[z]/(z³ - w)` and `x = a0 + a1·z + a2·z²` with
+    /// `a_i = c_i + c_{i+3}·w`. Then `x² = A + 2B` and the adjugate of `x`
+    /// over `Fp2` is `A - B`, for `A = a0² + w·a2²·z + a1²·z²` and
+    /// `B = w·a1·a2 + a0·a1·z + a0·a2·z²`. On `T6` the adjugate
+    /// `N_{Fp6/Fp2}(x)·x⁻¹` is `x^{p³}`, so `x² = 3A - 2·x^{p³}` with
+    /// `x^{p³} = [c0-c3, -c2, -c1, -c3, c5-c2, c4-c1]`. Each `Fp2` square
+    /// is `(u + v·w)² = (u-v)(u+v) + v(2u-v)·w`, and
+    /// `w·(u + v·w) = -v + (u-v)·w`. Written straight-line (no
+    /// zero-skipping helpers), so the operation count never depends on the
+    /// value.
+    fn cyclotomic_square(&self, x: &Fp6Element) -> Fp6Element {
+        let fp = self.fp();
+        let c = x.coeffs();
+        // (u + v·w)² as (real, w-part).
+        let fp2_square = |u: &FpElement, v: &FpElement| {
+            let diff = fp.sub(u, v);
+            (fp.mul(&diff, &fp.add(u, v)), fp.mul(v, &fp.add(u, &diff)))
+        };
+        // a0², a1² and a2²; w·a2² = -t2 + (s2 - t2)·w.
+        let (s0, t0) = fp2_square(&c[0], &c[3]);
+        let (s1, t1) = fp2_square(&c[1], &c[4]);
+        let (s2, t2) = fp2_square(&c[2], &c[5]);
+        // 3·b + 2·s as (b + s) + (b + s) + b, and 3·b - 2·s likewise.
+        let plus = |b: &FpElement, s: &FpElement| {
+            let d = fp.add(b, s);
+            fp.add(&fp.add(&d, &d), b)
+        };
+        let minus = |b: &FpElement, s: &FpElement| {
+            let d = fp.sub(b, s);
+            fp.add(&fp.add(&d, &d), b)
+        };
+        // Coefficient 1: 3·(-t2) + 2·c2 = 2·(c2 - t2) - t2.
+        let d1 = fp.sub(&c[2], &t2);
+        let r1 = fp.sub(&fp.add(&d1, &d1), &t2);
+        self.fp6().from_coeffs([
+            minus(&s0, &fp.sub(&c[0], &c[3])),
+            r1,
+            plus(&s1, &c[1]),
+            plus(&t0, &c[3]),
+            minus(&fp.sub(&s2, &t2), &fp.sub(&c[5], &c[2])),
+            minus(&t1, &fp.sub(&c[4], &c[1])),
+        ])
+    }
+
+    /// `table[index]`, read by touching every entry: each limb is masked
+    /// with all-ones when its entry's position equals `index` and with
+    /// zero otherwise.
+    fn select(&self, table: &PowTable, index: usize) -> Fp6Element {
+        let mut out = [[0u64; 4]; 6];
+        for (i, entry) in table.iter().enumerate() {
+            // `i ^ index` is below 2^63, so subtracting 1 sets the top bit
+            // exactly when it is zero.
+            let mask = (((i ^ index) as u64).wrapping_sub(1) >> 63).wrapping_neg();
+            for (o, c) in out.iter_mut().zip(entry.coeffs()) {
+                for (ol, l) in o.iter_mut().zip(c.mont_repr().limbs()) {
+                    *ol |= l & mask;
+                }
+            }
+        }
+        self.fp6()
+            .from_coeffs(out.map(|limbs| FpElement::from_mont_repr(Uint::from_limbs(limbs))))
     }
 }
 
@@ -215,8 +364,102 @@ mod tests {
         assert_eq!(lhs, params.pow(&g, &sum));
         // g^q = 1
         assert_eq!(params.pow(&g, params.q()), params.identity());
-        // windowed exponentiation agrees
-        assert_eq!(params.pow_window(&g, &x, 4), params.pow(&g, &x));
+    }
+
+    /// Random elements of the full torus: outside the order-`q` subgroup
+    /// with overwhelming probability on `date2008()`.
+    fn torus_elements(params: &CeilidhParams, seed: u64) -> Vec<TorusElement> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..4)
+            .filter_map(|_| params.project_to_torus(&params.fp6().random(&mut rng)))
+            .chain([params.identity(), params.generator()])
+            .collect()
+    }
+
+    #[test]
+    fn cyclotomic_square_matches_the_18m_square_on_t6() {
+        // p = 101 and the 170-bit p are 2 (mod 9); p = 41 is 5 (mod 9).
+        let five_mod_nine =
+            CeilidhParams::from_components(&BigUint::from(41u64), &BigUint::from(547u64)).unwrap();
+        for params in [params(), five_mod_nine, CeilidhParams::date2008().unwrap()] {
+            for x in torus_elements(&params, 56) {
+                assert_eq!(
+                    params.cyclotomic_square(x.as_fp6()),
+                    params.fp6().square(x.as_fp6())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cyclotomic_square_costs_6m_whatever_the_value() {
+        let params = CeilidhParams::date2008().unwrap();
+        let counts: Vec<_> = torus_elements(&params, 57)
+            .iter()
+            .map(|x| {
+                params.fp().reset_op_count();
+                let _ = params.cyclotomic_square(x.as_fp6());
+                params.fp().op_count()
+            })
+            .collect();
+        assert_eq!(counts[0].mul, 6);
+        assert!(counts.iter().all(|c| *c == counts[0]), "{counts:?}");
+    }
+
+    #[test]
+    fn pow_and_comb_have_one_operation_sequence() {
+        // After one warm-up call (the comb's table build), every exponent
+        // below q costs the same Fp operations on each path.
+        let params = CeilidhParams::date2008().unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(58);
+        let q = params.q();
+        let exponents = [
+            BigUint::one(),
+            BigUint::one().shl_bits(330),
+            q - &BigUint::one(),
+            BigUint::random_below(&mut rng, q),
+            BigUint::random_below(&mut rng, q),
+        ];
+        let base = params
+            .project_to_torus(&params.fp6().random(&mut rng))
+            .unwrap();
+        let _ = params.pow_generator(&BigUint::one());
+        let count = |run: &dyn Fn(&BigUint)| -> Vec<field::OpCount> {
+            exponents
+                .iter()
+                .map(|e| {
+                    params.fp().reset_op_count();
+                    run(e);
+                    params.fp().op_count()
+                })
+                .collect()
+        };
+        let pow = count(&|e| {
+            let _ = params.pow(&base, e);
+        });
+        let comb = count(&|e| {
+            let _ = params.pow_generator(e);
+        });
+        // 332 S (6M) + 83 M (18M) + 14 M for the table; 83 S + 83 M.
+        assert_eq!(pow[0].mul, 332 * 6 + (83 + 14) * 18);
+        assert_eq!(comb[0].mul, 83 * 6 + 83 * 18);
+        assert!(pow.iter().all(|c| *c == pow[0]), "{pow:?}");
+        assert!(comb.iter().all(|c| *c == comb[0]), "{comb:?}");
+    }
+
+    #[test]
+    fn comb_is_shared_by_clones() {
+        let params = params();
+        let clone = params.clone();
+        let e = BigUint::from(29u64);
+        assert_eq!(
+            params.pow_generator(&e),
+            params.pow(&params.generator(), &e)
+        );
+        clone.fp().reset_op_count();
+        let _ = clone.pow_generator(&e);
+        // Only the comb run itself: 2 S + 2 M on the 6-bit q.
+        assert_eq!(clone.fp().op_count().mul, 2 * 6 + 2 * 18);
     }
 
     #[test]

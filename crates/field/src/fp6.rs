@@ -234,54 +234,6 @@ impl Fp6Context {
         acc
     }
 
-    /// Sliding-window exponentiation with `window` bits (1 ≤ window ≤ 8).
-    ///
-    /// Used by the exponentiation ablation bench; produces identical results
-    /// to [`exp`](Self::exp).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is 0 or larger than 8.
-    pub fn exp_window(&self, base: &Fp6Element, exp: &BigUint, window: usize) -> Fp6Element {
-        assert!((1..=8).contains(&window), "window must be in 1..=8");
-        if window == 1 {
-            return self.exp(base, exp);
-        }
-        // Precompute odd powers base^1, base^3, ..., base^(2^window - 1).
-        let base_sq = self.square(base);
-        let mut odd_powers = vec![base.clone()];
-        for _ in 1..(1 << (window - 1)) {
-            let prev = odd_powers.last().expect("non-empty").clone();
-            odd_powers.push(self.mul(&prev, &base_sq));
-        }
-        let mut acc = self.one();
-        let mut i = exp.bit_len() as isize - 1;
-        while i >= 0 {
-            if !exp.bit(i as usize) {
-                acc = self.square(&acc);
-                i -= 1;
-                continue;
-            }
-            // Find the longest window ending in a set bit.
-            let lo = (i - window as isize + 1).max(0);
-            let mut j = lo;
-            while !exp.bit(j as usize) {
-                j += 1;
-            }
-            let width = (i - j + 1) as usize;
-            let mut value = 0usize;
-            for k in (j..=i).rev() {
-                value = (value << 1) | exp.bit(k as usize) as usize;
-            }
-            for _ in 0..width {
-                acc = self.square(&acc);
-            }
-            acc = self.mul(&acc, &odd_powers[(value - 1) / 2]);
-            i = j - 1;
-        }
-        acc
-    }
-
     /// The Frobenius map iterated `k` times: `a ↦ a^{p^k}`.
     ///
     /// Because `z` is a 9th root of unity this is just a signed permutation
@@ -565,23 +517,5 @@ mod tests {
             assert_eq!(f.exp(&a, &order), f.one());
         }
         assert_eq!(f.exp(&a, &BigUint::zero()), f.one());
-    }
-
-    #[test]
-    fn windowed_exponentiation_matches_plain() {
-        let f = ctx();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(28);
-        for _ in 0..5 {
-            let a = f.random(&mut rng);
-            let e = BigUint::random_bits(&mut rng, 80);
-            let plain = f.exp(&a, &e);
-            for w in [2usize, 3, 4, 5] {
-                assert_eq!(f.exp_window(&a, &e, w), plain, "window {w}");
-            }
-        }
-        // Edge cases: zero and tiny exponents.
-        let a = f.random(&mut rng);
-        assert_eq!(f.exp_window(&a, &BigUint::zero(), 4), f.one());
-        assert_eq!(f.exp_window(&a, &BigUint::one(), 4), a);
     }
 }

@@ -3,8 +3,9 @@
 //! The point of `bignum::fixed` is that the hot loops — Montgomery
 //! multiplication, exponentiation (the 512-bit fixed-window secret one of
 //! RSA's CRT halves included), the double-width reduction, the full
-//! scalar-multiplication ladder, and every `Fp`/`Fp6`/curve operation
-//! built on them — run entirely on stack arrays. This test installs a counting global allocator and
+//! scalar-multiplication ladder, every `Fp`/`Fp6`/curve operation built
+//! on them, and the torus exponentiations — run entirely on stack arrays.
+//! This test installs a counting global allocator and
 //! asserts that, after setup, those loops perform **zero** heap
 //! allocations; a `Vec` sneaking back into the CIOS kernel, a field
 //! element or a point formula would fail here immediately. The counter
@@ -18,6 +19,7 @@ use bignum::fixed::{MontgomeryContext, Uint};
 use bignum::{BigUint, MontgomeryParams};
 use ceilidh::CeilidhParams;
 use ecc::prelude::*;
+use rand::SeedableRng;
 
 thread_local! {
     /// Allocations observed on this thread (the test harness runs each
@@ -151,6 +153,27 @@ fn field_and_point_operations_do_not_touch_the_heap() {
         0,
         "Fp/Fp6/point operations must not allocate"
     );
+}
+
+#[test]
+fn torus_exponentiations_do_not_touch_the_heap() {
+    // The 170-bit torus: the fixed-window `pow` and, once its table is
+    // built, the generator comb.
+    let params = CeilidhParams::date2008().unwrap();
+    let (_, base) = params.random_subgroup_element(&mut rand::rngs::StdRng::seed_from_u64(5));
+    let e = BigUint::from_hex(
+        "5a3c0b8e1f2d4c6b8a9e7f1d3c5b7a9e8f6d4c2b1a3e5f7d9c8b6a4e2f1d3c5b7a9e8f6d",
+    )
+    .unwrap();
+    assert!(e < *params.q());
+
+    let before = allocations();
+    let powed = params.pow(black_box(&base), black_box(&e));
+    let comb = params.pow_generator(black_box(&e));
+    let after = allocations();
+
+    black_box((powed, comb));
+    assert_eq!(after - before, 0, "torus exponentiation must not allocate");
 }
 
 #[test]

@@ -3,9 +3,45 @@
 //! tower and torus compression.
 
 use bignum::{mod_exp, BigUint, MontgomeryParams};
-use ceilidh::{compress, decompress, CeilidhParams};
+use ceilidh::{
+    compress, decompress, decrypt_hybrid, CeilidhParams, CompressedTorus, HybridCiphertext,
+    KeyPair, TorusElement,
+};
 use field::{Fp6Context, FpContext};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+
+/// One of the exponents the torus exponentiation properties cover:
+/// 0, 1, q − 1, q, wider than q, or uniform below q.
+fn torus_exponent(params: &CeilidhParams, kind: u8, rng: &mut impl Rng) -> BigUint {
+    let q = params.q();
+    match kind {
+        0 => BigUint::zero(),
+        1 => BigUint::one(),
+        2 => q - &BigUint::one(),
+        3 => q.clone(),
+        4 => {
+            let extra = rng.gen_range(1..80usize);
+            BigUint::random_bits(rng, q.bit_len() + extra)
+        }
+        _ => BigUint::random_below(rng, q),
+    }
+}
+
+/// A base on `T6`: the identity, an element of the order-`q` subgroup, or
+/// a random element of the full torus (outside the subgroup unless the
+/// cofactor part happens to vanish).
+fn torus_base(params: &CeilidhParams, kind: u8, rng: &mut impl Rng) -> TorusElement {
+    match kind {
+        0 => params.identity(),
+        1 => params.random_subgroup_element(rng).1,
+        _ => loop {
+            if let Some(t) = params.project_to_torus(&params.fp6().random(rng)) {
+                break t;
+            }
+        },
+    }
+}
 
 /// Strategy: arbitrary big integers up to `max_bytes` bytes.
 fn biguint(max_bytes: usize) -> impl Strategy<Value = BigUint> {
@@ -132,5 +168,57 @@ proptest! {
         let g = params.generator();
         let element = params.pow(&g, &BigUint::from(exponent));
         prop_assert_eq!(params.mul(&element, &params.invert(&element)), params.identity());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The host's fixed-window `pow` and generator comb are bit-identical
+    /// to the paper's square-and-multiply, for bases anywhere on `T6` and
+    /// exponents at and beyond the edges of [0, q).
+    #[test]
+    fn host_torus_exponentiation_matches_square_and_multiply(
+        exp_kind in 0u8..6,
+        base_kind in 0u8..3,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for params in [CeilidhParams::toy().unwrap(), CeilidhParams::date2008().unwrap()] {
+            let fp6 = params.fp6();
+            let g = params.generator();
+            let e = torus_exponent(&params, exp_kind, &mut rng);
+            let base = torus_base(&params, base_kind, &mut rng);
+            prop_assert_eq!(params.pow(&base, &e).into_fp6(), fp6.exp(base.as_fp6(), &e));
+            prop_assert_eq!(params.pow_generator(&e).into_fp6(), fp6.exp(g.as_fp6(), &e));
+            // x^16 is one window of four cyclotomic squarings of x.
+            let x16 = (0..4).fold(base.as_fp6().clone(), |x, _| fp6.mul(&x, &x));
+            prop_assert_eq!(params.pow(&base, &BigUint::from(16u64)).into_fp6(), x16);
+        }
+    }
+
+    /// Hybrid decryption never panics on a hostile ephemeral: any
+    /// coordinates below 2^180 and any hint either decode and decrypt, or
+    /// are refused. Shifts of 15 bits or more keep both coordinates below
+    /// the 170-bit p, so those cases reach the root search and the
+    /// cofactor check.
+    #[test]
+    fn hybrid_decryption_of_arbitrary_ephemerals_never_panics(
+        u0 in biguint(23),
+        u1 in biguint(23),
+        shift in 4usize..24,
+        hint in any::<u8>(),
+        seed in any::<u64>(),
+    ) {
+        let params = CeilidhParams::date2008().unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let kp = KeyPair::generate(&params, &mut rng);
+        let ct = HybridCiphertext {
+            ephemeral: CompressedTorus { u0: u0.shr_bits(shift), u1: u1.shr_bits(shift), hint },
+            payload: vec![0xA5; 16],
+        };
+        if let Ok(pt) = decrypt_hybrid(&params, kp.secret(), &ct) {
+            prop_assert_eq!(pt.len(), 16);
+        }
     }
 }
