@@ -19,8 +19,9 @@
 //!    `N(a+γ) - N(a-γ)` only keeps the terms odd in `γ`. We therefore
 //!    transmit the first two coordinates plus a 2-bit hint selecting the
 //!    right root of that quadratic; decompression interpolates the
-//!    constraint polynomial, solves it with a modular square root, filters
-//!    the candidates by torus membership and picks the hinted one. The
+//!    constraint polynomial, solves it with a modular square root, keeps
+//!    the roots at which every coordinate of the constraint vanishes and
+//!    picks the hinted one. The
 //!    transmitted payload is two `Fp` elements + 2 bits — the same
 //!    bandwidth as the original CEILIDH maps.
 
@@ -164,10 +165,9 @@ pub fn decompress(
     let t = candidates
         .get(compressed.hint as usize)
         .ok_or(CeilidhError::DecompressionFailed("hint out of range"))?;
-    // Every candidate was checked to give a T6 element, so the Fp2 norm
-    // test of `decompress_t2` is skipped.
+    // Every candidate is a root of the whole membership constraint, so the
+    // Fp2 norm test of `decompress_t2` is skipped.
     let g = t2_point(params, &embed_fp3(params, &u0, &u1, &canonical(params, t)?))?;
-    debug_assert!(params.is_torus_member(&g));
     Ok(TorusElement::from_fp6_unchecked(g))
 }
 
@@ -193,13 +193,21 @@ fn t2_point(params: &CeilidhParams, a: &Fp6Element) -> Result<Fp6Element, Ceilid
 }
 
 /// Embeds `(u0, u1, u2)` as `u0 + u1·x + u2·x² ∈ Fp3 ⊂ Fp6`.
+///
+/// With `x = z - z² - z⁵` and `x² = 2 - z + z² - z⁴` (reduced by
+/// `z⁶ = -z³ - 1`, `z⁹ = 1`) the embedding is linear in the coordinates
+/// with small integer coefficients, so it costs additions only.
 fn embed_fp3(params: &CeilidhParams, u0: &FpElement, u1: &FpElement, u2: &FpElement) -> Fp6Element {
-    let fp6 = params.fp6();
-    let x = fp6.zeta_plus_inverse();
-    let x2 = fp6.mul(&x, &x);
-    let mut acc = fp6.from_fp(*u0);
-    acc = fp6.add(&acc, &fp6.scalar_mul(&x, u1));
-    fp6.add(&acc, &fp6.scalar_mul(&x2, u2))
+    let fp = params.fp();
+    let t = fp.tally();
+    params.fp6().from_coeffs([
+        t.add(&t.add(u0, u2), u2),
+        t.sub(u1, u2),
+        t.sub(u2, u1),
+        fp.zero(),
+        t.neg(u2),
+        t.neg(u1),
+    ])
 }
 
 /// Extracts the `Fp3` coordinates of an element known to lie in the `Fp3`
@@ -231,6 +239,14 @@ fn fp3_coords(params: &CeilidhParams, a: &Fp6Element) -> Result<CompressedT2, Ce
 /// there are at most two candidates; they are found by interpolating the
 /// constraint polynomial at `t ∈ {0, 1, 2}` and solving with a modular
 /// square root.
+///
+/// A root is kept iff all six coordinates of the constraint vanish at it,
+/// which is exactly torus membership of `g = (a+γ)/(a-γ)`: `γ ∉ Fp3`, so
+/// `a - γ ≠ 0`; `N_{Fp6/Fp3}(g) = 1` holds for every `a ∈ Fp3`; and
+/// `N_{Fp6/Fp2}(g) = 1` iff the two norms agree. `D = n - n^{p³}` for
+/// `n = N(a+γ) ∈ Fp2`, so `D` is an `Fp`-multiple of `1 + 2w` and the
+/// check never rejects a root of the solved coordinate; it stays as a
+/// 24M guard that every returned coordinate gives a point on `T6`.
 fn constraint_roots(
     params: &CeilidhParams,
     u0: &FpElement,
@@ -248,32 +264,25 @@ fn constraint_roots(
         let d = fp6.sub(&plus, &minus);
         *d.coeffs()
     };
-
-    // Interpolate each of the six coordinates of D as a quadratic in t from
-    // the samples at t = 0, 1, 2:
-    //   c2 = (d(0) - 2 d(1) + d(2)) / 2,  c1 = d(1) - d(0) - c2,  c0 = d(0).
     let d0 = eval(&fp.zero());
     let d1 = eval(&fp.one());
     let d2 = eval(&fp.from_u64(2));
-    let half = fp
-        .inv(&fp.from_u64(2))
-        .expect("2 is invertible in odd characteristic");
 
-    let mut polys: Vec<[FpElement; 3]> = Vec::with_capacity(6);
-    for i in 0..6 {
-        let c0 = d0[i];
-        let c2 = fp.mul(&fp.add(&fp.sub(&d0[i], &fp.double(&d1[i])), &d2[i]), &half);
-        let c1 = fp.sub(&fp.sub(&d1[i], &d0[i]), &c2);
-        polys.push([c0, c1, c2]);
-    }
+    // Interpolate each of the six coordinates of 2·D as a quadratic in t
+    // from the samples at t = 0, 1, 2 (the factor 2 spares a halving and
+    // moves no root):
+    //   c2 = d(0) - 2 d(1) + d(2),  c1 = 2 (d(1) - d(0)) - c2,  c0 = 2 d(0).
+    let f = fp.tally();
+    let polys: [[FpElement; 3]; 6] = std::array::from_fn(|i| {
+        let c2 = f.add(&f.sub(&d0[i], &f.double(&d1[i])), &d2[i]);
+        let c1 = f.sub(&f.double(&f.sub(&d1[i], &d0[i])), &c2);
+        [f.double(&d0[i]), c1, c2]
+    });
 
-    // Pick the first coordinate whose constraint polynomial is not
+    // Solve with the first coordinate whose constraint polynomial is not
     // identically zero (an element of Fp2 only has non-zero coordinates at
     // z^0 and z^3, but we scan all six for robustness).
-    let poly = polys
-        .into_iter()
-        .find(|p| !(p[0].is_zero() && p[1].is_zero() && p[2].is_zero()));
-    let Some([c0, c1, c2]) = poly else {
+    let Some(&[c0, c1, c2]) = polys.iter().find(|p| p.iter().any(|c| !c.is_zero())) else {
         return Err(CeilidhError::DecompressionFailed(
             "degenerate membership constraint",
         ));
@@ -287,31 +296,32 @@ fn constraint_roots(
                 "constraint polynomial is constant and non-zero",
             ));
         }
-        let t = fp.neg(&fp.mul(&c0, &fp.inv(&c1).expect("non-zero")));
+        let t = f.neg(&f.mul(&c0, &f.inv(&c1).expect("non-zero")));
         roots.push(t);
     } else {
         // discriminant = c1² - 4 c0 c2
-        let disc = fp.sub(&fp.square(&c1), &fp.mul(&fp.from_u64(4), &fp.mul(&c0, &c2)));
+        let disc = f.sub(&f.square(&c1), &f.mul_small(&f.mul(&c0, &c2), 4));
         if let Some(sqrt_disc) = fp.sqrt(&disc) {
-            let inv_2a = fp
-                .inv(&fp.double(&c2))
+            let inv_2a = f
+                .inv(&f.double(&c2))
                 .expect("2·c2 non-zero in odd characteristic");
-            let minus_c1 = fp.neg(&c1);
-            roots.push(fp.mul(&fp.add(&minus_c1, &sqrt_disc), &inv_2a));
-            roots.push(fp.mul(&fp.sub(&minus_c1, &sqrt_disc), &inv_2a));
+            let minus_c1 = f.neg(&c1);
+            roots.push(f.mul(&f.add(&minus_c1, &sqrt_disc), &inv_2a));
+            roots.push(f.mul(&f.sub(&minus_c1, &sqrt_disc), &inv_2a));
         }
     }
 
-    // Keep only roots that really produce T6 members, in canonical order.
-    let mut candidates: Vec<BigUint> = Vec::new();
-    for t in roots {
-        let a = embed_fp3(params, u0, u1, &t);
-        if let Ok(g) = t2_point(params, &a) {
-            if params.is_torus_member(&g) {
-                candidates.push(fp.to_biguint(&t));
-            }
-        }
-    }
+    // Keep only roots of the whole constraint, in canonical order.
+    let vanishes = |t: &FpElement| {
+        polys
+            .iter()
+            .all(|[c0, c1, c2]| f.add(c0, &f.mul(t, &f.add(c1, &f.mul(t, c2)))).is_zero())
+    };
+    let mut candidates: Vec<BigUint> = roots
+        .iter()
+        .filter(|t| vanishes(t))
+        .map(|t| fp.to_biguint(t))
+        .collect();
     candidates.sort();
     candidates.dedup();
     if candidates.is_empty() {
@@ -483,6 +493,114 @@ mod tests {
                 decompress_t2(&params, &tampered),
                 Err(CeilidhError::DecompressionFailed(_))
             ));
+        }
+    }
+
+    /// The filter [`constraint_roots`] replaced: solve as before, then keep
+    /// a root only if its `t2_point` passes the full torus-membership test.
+    fn constraint_roots_by_membership(
+        params: &CeilidhParams,
+        u0: &FpElement,
+        u1: &FpElement,
+    ) -> Result<Vec<BigUint>, CeilidhError> {
+        let fp = params.fp();
+        let fp6 = params.fp6();
+        let gamma = fp6.zeta_minus_inverse();
+        let eval = |t: &FpElement| -> [FpElement; 6] {
+            let a = embed_fp3(params, u0, u1, t);
+            let plus = fp6.norm_to_fp2(&fp6.add(&a, &gamma));
+            let minus = fp6.norm_to_fp2(&fp6.sub(&a, &gamma));
+            *fp6.sub(&plus, &minus).coeffs()
+        };
+        let d0 = eval(&fp.zero());
+        let d1 = eval(&fp.one());
+        let d2 = eval(&fp.from_u64(2));
+        let half = fp.inv(&fp.from_u64(2)).unwrap();
+        let poly = (0..6)
+            .map(|i| {
+                let c2 = fp.mul(&fp.add(&fp.sub(&d0[i], &fp.double(&d1[i])), &d2[i]), &half);
+                let c1 = fp.sub(&fp.sub(&d1[i], &d0[i]), &c2);
+                [d0[i], c1, c2]
+            })
+            .find(|p| !(p[0].is_zero() && p[1].is_zero() && p[2].is_zero()));
+        let Some([c0, c1, c2]) = poly else {
+            return Err(CeilidhError::DecompressionFailed("degenerate"));
+        };
+        let mut roots: Vec<FpElement> = Vec::new();
+        if c2.is_zero() {
+            if c1.is_zero() {
+                return Err(CeilidhError::DecompressionFailed("constant"));
+            }
+            roots.push(fp.neg(&fp.mul(&c0, &fp.inv(&c1).unwrap())));
+        } else {
+            let disc = fp.sub(&fp.square(&c1), &fp.mul(&fp.from_u64(4), &fp.mul(&c0, &c2)));
+            if let Some(sqrt_disc) = fp.sqrt(&disc) {
+                let inv_2a = fp.inv(&fp.double(&c2)).unwrap();
+                let minus_c1 = fp.neg(&c1);
+                roots.push(fp.mul(&fp.add(&minus_c1, &sqrt_disc), &inv_2a));
+                roots.push(fp.mul(&fp.sub(&minus_c1, &sqrt_disc), &inv_2a));
+            }
+        }
+        let mut candidates: Vec<BigUint> = roots
+            .into_iter()
+            .filter(|t| {
+                t2_point(params, &embed_fp3(params, u0, u1, t))
+                    .is_ok_and(|g| params.is_torus_member(&g))
+            })
+            .map(|t| fp.to_biguint(&t))
+            .collect();
+        candidates.sort();
+        candidates.dedup();
+        if candidates.is_empty() {
+            return Err(CeilidhError::DecompressionFailed("no root"));
+        }
+        Ok(candidates)
+    }
+
+    #[test]
+    fn constraint_roots_match_the_membership_filter() {
+        for params in [params(), CeilidhParams::date2008().unwrap()] {
+            let fp = params.fp();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(65);
+            // Random coordinate pairs (about half have no root), then the
+            // first two coordinates of genuine compressions.
+            let mut pairs: Vec<(FpElement, FpElement)> = (0..400)
+                .map(|_| (fp.random(&mut rng), fp.random(&mut rng)))
+                .collect();
+            for _ in 0..25 {
+                let (_, g) = params.random_subgroup_element(&mut rng);
+                if let Ok(c) = compress_t2(&params, &g) {
+                    pairs.push((fp.from_biguint(&c.coords[0]), fp.from_biguint(&c.coords[1])));
+                }
+            }
+            let mut found = 0;
+            for (u0, u1) in &pairs {
+                let got = constraint_roots(&params, u0, u1);
+                let want = constraint_roots_by_membership(&params, u0, u1);
+                assert_eq!(got.is_ok(), want.is_ok(), "{u0:?}, {u1:?}");
+                if let (Ok(got), Ok(want)) = (got, want) {
+                    assert_eq!(got, want);
+                    found += 1;
+                }
+            }
+            assert!(found >= 25, "only {found} pairs had candidates");
+        }
+    }
+
+    #[test]
+    fn embedding_matches_fp6_arithmetic() {
+        let params = params();
+        let fp6 = params.fp6();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(66);
+        let x = fp6.zeta_plus_inverse();
+        let x2 = fp6.mul(&x, &x);
+        for _ in 0..10 {
+            let [u0, u1, u2] = [0; 3].map(|_| params.fp().random(&mut rng));
+            let want = fp6.add(
+                &fp6.add(&fp6.from_fp(u0), &fp6.scalar_mul(&x, &u1)),
+                &fp6.scalar_mul(&x2, &u2),
+            );
+            assert_eq!(embed_fp3(&params, &u0, &u1, &u2), want);
         }
     }
 

@@ -2,7 +2,7 @@
 
 use bignum::fixed::Uint;
 use bignum::BigUint;
-use field::{Fp6Element, FpElement};
+use field::{Fp6Element, FpElement, FpTally};
 use rand::Rng;
 
 use crate::error::CeilidhError;
@@ -122,10 +122,11 @@ impl CeilidhParams {
             table[i] = fp6.mul(&table[i - 1], &base.value);
         }
         let windows = self.q().bit_len().max(exponent.bit_len()).div_ceil(WINDOW);
+        let t = self.fp().tally();
         let mut acc = fp6.one();
         for w in (0..windows).rev() {
             for _ in 0..WINDOW {
-                acc = self.cyclotomic_square(&acc);
+                acc = self.cyclotomic_square_on(&t, &acc);
             }
             let digit =
                 (0..WINDOW).fold(0, |d, j| d | usize::from(exponent.bit(w * WINDOW + j)) << j);
@@ -156,9 +157,10 @@ impl CeilidhParams {
         };
         let fp6 = self.fp6();
         let table = self.comb.get_or_init(|| self.build_comb());
+        let t = self.fp().tally();
         let mut acc = fp6.one();
         for i in (0..spacing).rev() {
-            acc = self.cyclotomic_square(&acc);
+            acc = self.cyclotomic_square_on(&t, &acc);
             let digit = (0..WINDOW).fold(0, |d, t| {
                 d | usize::from(exponent.bit(t * spacing + i)) << t
             });
@@ -206,10 +208,11 @@ impl CeilidhParams {
         let fp6 = self.fp6();
         let mut table: PowTable = std::array::from_fn(|_| fp6.one());
         let mut tooth = self.generator().into_fp6();
+        let tally = self.fp().tally();
         for t in 0..WINDOW {
             if t > 0 {
                 for _ in 0..self.comb_spacing() {
-                    tooth = self.cyclotomic_square(&tooth);
+                    tooth = self.cyclotomic_square_on(&tally, &tooth);
                 }
             }
             let bit = 1 << t;
@@ -234,9 +237,8 @@ impl CeilidhParams {
     /// is `(u + v·w)² = (u-v)(u+v) + v(2u-v)·w`, and
     /// `w·(u + v·w) = -v + (u-v)·w`. Written straight-line (no
     /// zero-skipping helpers), so the operation count never depends on the
-    /// value.
-    fn cyclotomic_square(&self, x: &Fp6Element) -> Fp6Element {
-        let fp = self.fp();
+    /// value. Every `Fp` operation is counted on the caller's tally.
+    fn cyclotomic_square_on(&self, fp: &FpTally, x: &Fp6Element) -> Fp6Element {
         let c = x.coeffs();
         // (u + v·w)² as (real, w-part).
         let fp2_square = |u: &FpElement, v: &FpElement| {
@@ -267,6 +269,13 @@ impl CeilidhParams {
             minus(&fp.sub(&s2, &t2), &fp.sub(&c[5], &c[2])),
             minus(&t1, &fp.sub(&c[4], &c[1])),
         ])
+    }
+
+    /// [`cyclotomic_square_on`](Self::cyclotomic_square_on) on a tally of
+    /// its own.
+    #[cfg(test)]
+    fn cyclotomic_square(&self, x: &Fp6Element) -> Fp6Element {
+        self.cyclotomic_square_on(&self.fp().tally(), x)
     }
 
     /// `table[index]`, read by touching every entry: each limb is masked
@@ -445,6 +454,60 @@ mod tests {
         assert_eq!(comb[0].mul, 83 * 6 + 83 * 18);
         assert!(pow.iter().all(|c| *c == pow[0]), "{pow:?}");
         assert!(comb.iter().all(|c| *c == comb[0]), "{comb:?}");
+    }
+
+    #[test]
+    fn op_counts_are_pinned_on_date2008() {
+        // Exact Fp operation totals on date2008(). Where a routine counts
+        // (per operation or on a tally) must not move any of them; the
+        // (de)compression totals are those of the constraint-quadratic
+        // root filter and the p ≡ 3 (mod 4) square root.
+        let params = CeilidhParams::date2008().unwrap();
+        let fp6 = params.fp6();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(59);
+        let (a, b) = (fp6.random(&mut rng), fp6.random(&mut rng));
+        let base = params.project_to_torus(&fp6.random(&mut rng)).unwrap();
+        let e = BigUint::random_below(&mut rng, params.q());
+        let compressed = crate::compress(&params, &base).unwrap();
+        // The comb's first call also builds its table: 1692M + 8423 A/S.
+        type Case<'a> = (&'a str, &'a dyn Fn(), [u64; 4]);
+        let cases: [Case; 9] = [
+            ("Fp6 mul", &|| _ = fp6.mul(&a, &b), [18, 20, 44, 0]),
+            ("Fp6 square", &|| _ = fp6.square(&a), [18, 20, 44, 0]),
+            ("Fp6 inv", &|| _ = fp6.inv(&a), [96, 119, 242, 1]),
+            (
+                "Fp6 norm_to_fp2",
+                &|| _ = fp6.norm_to_fp2(&a),
+                [36, 48, 96, 0],
+            ),
+            ("pow", &|| _ = params.pow(&base, &e), [3738, 8248, 8252, 0]),
+            (
+                "comb + pow_generator",
+                &|| _ = params.pow_generator(&e),
+                [1692 + 1992, 8188, 8120, 0],
+            ),
+            (
+                "pow_generator",
+                &|| _ = params.pow_generator(&e),
+                [1992, 3237, 4648, 0],
+            ),
+            (
+                "compress",
+                &|| _ = crate::compress(&params, &base),
+                [738, 647, 1172, 2],
+            ),
+            (
+                "decompress",
+                &|| _ = crate::decompress(&params, &compressed),
+                [612, 497, 930, 2],
+            ),
+        ];
+        for (name, run, want) in cases {
+            params.fp().reset_op_count();
+            run();
+            let c = params.fp().op_count();
+            assert_eq!([c.mul, c.add, c.sub, c.inv], want, "{name}");
+        }
     }
 
     #[test]

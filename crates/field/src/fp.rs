@@ -1,5 +1,6 @@
 //! The base prime field `Fp`.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
 
@@ -18,8 +19,11 @@ type Residue = Uint<4>;
 ///
 /// All elements are kept in Montgomery form internally (mirroring the
 /// coprocessor, which works on Montgomery residues throughout an
-/// exponentiation), and every multiplication / addition / subtraction /
-/// inversion is recorded in the context's [`OpCounter`].
+/// exponentiation). Every multiplication / addition / subtraction /
+/// inversion counts towards the context's [`OpCounter`]: a single
+/// operation called here is added to it at once, while composite routines
+/// (`Fp6` products, exponentiations) run on an [`FpTally`] and add their
+/// totals when it drops.
 ///
 /// Every modulus shares one fixed-limb backend: a
 /// [`MontgomeryContext<4>`] with radix `R = 2^256`, whatever the bit
@@ -176,6 +180,18 @@ impl FpContext {
         &self.inner.mont
     }
 
+    /// Opens a per-call [`FpTally`]: this context's arithmetic, counted on
+    /// the stack and added to the shared counter when the tally drops.
+    pub fn tally(&self) -> FpTally<'_> {
+        FpTally {
+            fp: &self.inner,
+            mul: Cell::new(0),
+            add: Cell::new(0),
+            sub: Cell::new(0),
+            inv: Cell::new(0),
+        }
+    }
+
     /// The shared operation counter.
     pub fn counter(&self) -> &Arc<OpCounter> {
         &self.inner.counter
@@ -253,57 +269,38 @@ impl FpContext {
 
     /// Modular addition.
     pub fn add(&self, a: &FpElement, b: &FpElement) -> FpElement {
-        self.inner.counter.record_add();
-        FpElement {
-            mont: add_mod(&a.mont, &b.mont, self.inner.mont.modulus()),
-        }
+        self.tally().add(a, b)
     }
 
     /// Modular subtraction.
     pub fn sub(&self, a: &FpElement, b: &FpElement) -> FpElement {
-        self.inner.counter.record_sub();
-        FpElement {
-            mont: sub_mod(&a.mont, &b.mont, self.inner.mont.modulus()),
-        }
+        self.tally().sub(a, b)
     }
 
-    /// Modular negation.
+    /// Modular negation (counted as a subtraction; free for zero).
     pub fn neg(&self, a: &FpElement) -> FpElement {
-        if a.is_zero() {
-            return self.zero();
-        }
-        self.inner.counter.record_sub();
-        FpElement {
-            mont: neg_mod(&a.mont, self.inner.mont.modulus()),
-        }
+        self.tally().neg(a)
     }
 
     /// Doubling (`a + a`), counted as one addition.
     pub fn double(&self, a: &FpElement) -> FpElement {
-        self.add(a, a)
+        self.tally().double(a)
     }
 
     /// Modular multiplication (one Montgomery multiplication).
     pub fn mul(&self, a: &FpElement, b: &FpElement) -> FpElement {
-        self.inner.counter.record_mul();
-        FpElement {
-            mont: self.inner.mont.mont_mul(&a.mont, &b.mont),
-        }
+        self.tally().mul(a, b)
     }
 
     /// Modular squaring (counted as a multiplication, as in the paper).
     pub fn square(&self, a: &FpElement) -> FpElement {
-        self.mul(a, a)
+        self.tally().square(a)
     }
 
     /// Multiplication by a small constant via repeated addition (the
     /// coprocessor has no dedicated small-constant multiplier).
     pub fn mul_small(&self, a: &FpElement, k: u32) -> FpElement {
-        let mut acc = self.zero();
-        for _ in 0..k {
-            acc = self.add(&acc, a);
-        }
-        acc
+        self.tally().mul_small(a, k)
     }
 
     /// Modular exponentiation by square-and-multiply; the exponent may
@@ -315,17 +312,15 @@ impl FpContext {
     /// Left-to-right square-and-multiply over exponent bits `len - 1 ..= 0`,
     /// recording one multiplication per squaring and per set bit.
     fn pow_bits(&self, base: &FpElement, len: usize, bit: impl Fn(usize) -> bool) -> FpElement {
-        let ctx = &self.inner.mont;
-        let mut acc = ctx.one_mont();
+        let t = self.tally();
+        let mut acc = self.one();
         for i in (0..len).rev() {
-            self.inner.counter.record_mul();
-            acc = ctx.mont_mul(&acc, &acc);
+            acc = t.square(&acc);
             if bit(i) {
-                self.inner.counter.record_mul();
-                acc = ctx.mont_mul(&acc, &base.mont);
+                acc = t.mul(&acc, base);
             }
         }
-        FpElement { mont: acc }
+        acc
     }
 
     /// [`FpContext::exp`] with a fixed-width exponent.
@@ -333,87 +328,9 @@ impl FpContext {
         self.pow_bits(base, exp.bit_len(), |i| exp.bit(i))
     }
 
-    /// Batched modular exponentiation: `out[i] = pairs[i].0 ^ pairs[i].1`.
-    ///
-    /// The squaring ladders run **lane-parallel**
-    /// ([`MontgomeryContext::mont_pow_batch`], four lanes per pass) so batch
-    /// traffic amortizes host wall-clock; a trailing partial chunk — and
-    /// every exponent wider than 256 bits — falls back to the serial
-    /// [`FpContext::exp`] loop.
-    ///
-    /// Results are bit-identical to calling `exp` element by element, and
-    /// so are the recorded operation counts (one multiplication per
-    /// squaring plus one per set exponent bit, **per element** — the batch
-    /// kernel's lane-lockstep padding squarings are not modeled work).
-    pub fn exp_batch(&self, pairs: &[(FpElement, BigUint)]) -> Vec<FpElement> {
-        const LANES: usize = 4;
-        let mut out: Vec<Option<FpElement>> = vec![None; pairs.len()];
-        let lanes: Vec<(usize, Residue)> = pairs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (_, exp))| Some((i, Residue::from_biguint(exp)?)))
-            .collect();
-        for group in lanes.chunks_exact(LANES) {
-            let bases = std::array::from_fn(|l| pairs[group[l].0].0.mont);
-            let exps = std::array::from_fn(|l| group[l].1);
-            let pow = self.inner.mont.mont_pow_batch::<LANES>(&bases, &exps);
-            for (&(i, _), mont) in group.iter().zip(pow) {
-                self.record_serial_exp_ops(&pairs[i].1);
-                out[i] = Some(FpElement { mont });
-            }
-        }
-        pairs
-            .iter()
-            .zip(out)
-            .map(|((base, exp), done)| done.unwrap_or_else(|| self.exp(base, exp)))
-            .collect()
-    }
-
-    /// Records what the serial square-and-multiply loop would record for
-    /// exponent `exp` — the batch entry points keep the modeled operation
-    /// counts identical to their serial counterparts.
-    fn record_serial_exp_ops(&self, exp: &BigUint) {
-        for i in 0..exp.bit_len() {
-            self.inner.counter.record_mul();
-            if exp.bit(i) {
-                self.inner.counter.record_mul();
-            }
-        }
-    }
-
-    /// Batched modular inversion by **Montgomery's trick**: one Fermat
-    /// inversion plus `3(n-1)` multiplications for the whole batch of `n`
-    /// non-zero elements, instead of one Fermat inversion each. Zero
-    /// elements yield `None` without disturbing their neighbours.
-    ///
-    /// Results are bit-identical to calling [`FpContext::inv`] element by
-    /// element, and so are the recorded operation counts: one inversion
-    /// per non-zero element and no multiplications — inversion stays its
-    /// own primitive (the trick's internal products are host bookkeeping,
-    /// not modeled field work).
-    pub fn inv_batch(&self, elems: &[FpElement]) -> Vec<Option<FpElement>> {
-        let live: Vec<usize> = (0..elems.len()).filter(|&i| !elems[i].is_zero()).collect();
-        for _ in &live {
-            self.inner.counter.record_inv();
-        }
-        let mut values: Vec<Residue> = live.iter().map(|&i| elems[i].mont).collect();
-        let mut scratch = vec![Residue::ZERO; values.len()];
-        let ok = self.inner.mont.mont_inv_batch(&mut values, &mut scratch);
-        debug_assert!(ok, "non-zero elements invert");
-        let mut out: Vec<Option<FpElement>> = vec![None; elems.len()];
-        for (&slot, mont) in live.iter().zip(values) {
-            out[slot] = Some(FpElement { mont });
-        }
-        out
-    }
-
     /// Modular inversion via Fermat's little theorem. Returns `None` for zero.
     pub fn inv(&self, a: &FpElement) -> Option<FpElement> {
-        // The exponentiation's internal multiplications are deliberately not
-        // double-counted: the paper treats inversion as its own primitive.
-        let mont = self.inner.mont.mont_inv_prime(&a.mont)?;
-        self.inner.counter.record_inv();
-        Some(FpElement { mont })
+        self.tally().inv(a)
     }
 
     /// Returns `true` if two contexts describe the same field.
@@ -427,20 +344,27 @@ impl FpContext {
         !a.is_zero() && self.pow(a, &self.inner.legendre_exp) == self.one()
     }
 
-    /// Modular square root by Tonelli–Shanks. Returns `None` if `a` is a
-    /// non-residue; `Some(0)` for zero. When a root `r` exists, `p - r` is
-    /// the other root.
+    /// Modular square root. Returns `None` if `a` is a non-residue;
+    /// `Some(0)` for zero. When a root `r` exists, `p - r` is the other
+    /// root.
+    ///
+    /// For `p ≡ 3 (mod 4)` the candidate `r = a^((p+1)/4)` is returned iff
+    /// `r² = a`, which is one exponentiation; other primes run Euler's
+    /// criterion and then Tonelli–Shanks.
     pub fn sqrt(&self, a: &FpElement) -> Option<FpElement> {
         if a.is_zero() {
             return Some(self.zero());
         }
+        let (s, q, r_exp) = match &self.inner.sqrt {
+            SqrtPlan::ThreeModFour { exp } => {
+                let r = self.pow(a, exp);
+                return (self.square(&r) == *a).then_some(r);
+            }
+            SqrtPlan::TonelliShanks { s, q, r_exp } => (*s, q, r_exp),
+        };
         if !self.is_square(a) {
             return None;
         }
-        let (s, q, r_exp) = match &self.inner.sqrt {
-            SqrtPlan::ThreeModFour { exp } => return Some(self.pow(a, exp)),
-            SqrtPlan::TonelliShanks { s, q, r_exp } => (*s, q, r_exp),
-        };
         // Tonelli–Shanks. Find a quadratic non-residue z (deterministic
         // scan; half of all elements qualify so this terminates quickly).
         let mut z = self.from_u64(2);
@@ -484,6 +408,106 @@ impl fmt::Debug for FpContext {
             self.bit_len()
         )
     }
+}
+
+/// A per-call tally of `Fp` operations, opened by [`FpContext::tally`].
+///
+/// Each method returns what the [`FpContext`] method of the same name
+/// returns and records the same operations, but in plain cells on the
+/// stack: the totals reach the context's [`OpCounter`] once, when the
+/// tally drops (also on unwind), as at most four relaxed atomic additions.
+/// Composite routines — `Fp2`/`Fp3`/`Fp6` arithmetic, exponentiations —
+/// run all their `Fp` work on one tally, so the count they leave is the
+/// same as if every operation had been recorded on its own.
+///
+/// The tally is not `Sync`; it belongs to the call that opened it.
+pub struct FpTally<'a> {
+    fp: &'a FpInner,
+    mul: Cell<u64>,
+    add: Cell<u64>,
+    sub: Cell<u64>,
+    inv: Cell<u64>,
+}
+
+impl FpTally<'_> {
+    /// Modular addition.
+    pub fn add(&self, a: &FpElement, b: &FpElement) -> FpElement {
+        bump(&self.add);
+        FpElement {
+            mont: add_mod(&a.mont, &b.mont, self.fp.mont.modulus()),
+        }
+    }
+
+    /// Modular subtraction.
+    pub fn sub(&self, a: &FpElement, b: &FpElement) -> FpElement {
+        bump(&self.sub);
+        FpElement {
+            mont: sub_mod(&a.mont, &b.mont, self.fp.mont.modulus()),
+        }
+    }
+
+    /// Modular negation (counted as a subtraction; free for zero).
+    pub fn neg(&self, a: &FpElement) -> FpElement {
+        if a.is_zero() {
+            return *a;
+        }
+        bump(&self.sub);
+        FpElement {
+            mont: neg_mod(&a.mont, self.fp.mont.modulus()),
+        }
+    }
+
+    /// Doubling (`a + a`), counted as one addition.
+    pub fn double(&self, a: &FpElement) -> FpElement {
+        self.add(a, a)
+    }
+
+    /// Modular multiplication (one Montgomery multiplication).
+    pub fn mul(&self, a: &FpElement, b: &FpElement) -> FpElement {
+        bump(&self.mul);
+        FpElement {
+            mont: self.fp.mont.mont_mul(&a.mont, &b.mont),
+        }
+    }
+
+    /// Modular squaring (counted as a multiplication).
+    pub fn square(&self, a: &FpElement) -> FpElement {
+        self.mul(a, a)
+    }
+
+    /// Multiplication by a small constant as `k` additions.
+    pub fn mul_small(&self, a: &FpElement, k: u32) -> FpElement {
+        let mut acc = FpElement {
+            mont: Residue::ZERO,
+        };
+        for _ in 0..k {
+            acc = self.add(&acc, a);
+        }
+        acc
+    }
+
+    /// Modular inversion, counted as one inversion (its internal
+    /// exponentiation is not counted). Returns `None` for zero.
+    pub fn inv(&self, a: &FpElement) -> Option<FpElement> {
+        let mont = self.fp.mont.mont_inv_prime(&a.mont)?;
+        bump(&self.inv);
+        Some(FpElement { mont })
+    }
+}
+
+impl Drop for FpTally<'_> {
+    fn drop(&mut self) {
+        self.fp.counter.record(OpCount {
+            mul: self.mul.get(),
+            add: self.add.get(),
+            sub: self.sub.get(),
+            inv: self.inv.get(),
+        });
+    }
+}
+
+fn bump(cell: &Cell<u64>) {
+    cell.set(cell.get() + 1);
 }
 
 #[cfg(test)]
@@ -669,72 +693,39 @@ mod tests {
     }
 
     #[test]
-    fn exp_batch_matches_serial_exp() {
-        for fp in [secp256k1(), ctx()] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-            // 8 pairs: a full lane group, a partial trailing chunk and an
-            // exponent wider than 256 bits, with edge exponents {0, 1, p-1}.
-            let mut pairs: Vec<(FpElement, BigUint)> = vec![
-                (fp.random(&mut rng), BigUint::zero()),
-                (fp.random(&mut rng), BigUint::one()),
-                (fp.random(&mut rng), fp.modulus() - &BigUint::one()),
-                (fp.random(&mut rng), BigUint::random_bits(&mut rng, 300)),
-            ];
-            for _ in 0..4 {
-                let e = BigUint::random_below(&mut rng, fp.modulus());
-                pairs.push((fp.random(&mut rng), e));
-            }
-            fp.reset_op_count();
-            let serial: Vec<FpElement> = pairs.iter().map(|(b, e)| fp.exp(b, e)).collect();
-            let serial_count = fp.op_count();
-            for ((b, e), got) in pairs.iter().zip(&serial) {
-                let want = plain_pow(&fp, b, e);
-                assert_eq!(fp.to_biguint(got), want, "serial exp matches BigUint");
-            }
-            fp.reset_op_count();
-            let batch = fp.exp_batch(&pairs);
-            assert_eq!(batch, serial, "batch bit-identical to serial");
-            assert_eq!(
-                fp.op_count().mul,
-                serial_count.mul,
-                "batch records serial-equivalent mul counts"
-            );
-            assert!(fp.exp_batch(&[]).is_empty());
-            let single = fp.exp_batch(&pairs[..1]);
-            assert_eq!(single, serial[..1]);
+    fn a_tally_adds_its_totals_when_it_drops() {
+        let fp = ctx();
+        let (a, b) = (fp.from_u64(3), fp.from_u64(5));
+        let (minus_two, minus_three) = (fp.from_i64(-2), fp.from_i64(-3));
+        fp.reset_op_count();
+        {
+            let t = fp.tally();
+            assert_eq!(t.mul(&a, &b), fp.from_u64(15));
+            assert_eq!(t.square(&a), fp.from_u64(9));
+            assert_eq!(t.mul_small(&a, 4), fp.from_u64(12));
+            assert_eq!(t.sub(&a, &b), minus_two);
+            assert_eq!(t.neg(&fp.zero()), fp.zero());
+            assert_eq!(t.neg(&a), minus_three);
+            assert_eq!(t.inv(&fp.zero()), None);
+            assert_eq!(t.mul(&t.inv(&a).unwrap(), &a), fp.one());
+            assert_eq!(fp.op_count(), OpCount::default(), "nothing before the drop");
         }
-    }
-
-    /// `b^e mod p` on plain `BigUint`s.
-    fn plain_pow(fp: &FpContext, b: &FpElement, e: &BigUint) -> BigUint {
-        bignum::mod_exp(&fp.to_biguint(b), e, fp.modulus())
-    }
-
-    #[test]
-    fn inv_batch_matches_serial_and_skips_zeros() {
-        for fp in [secp256k1(), ctx()] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-            let mut elems: Vec<FpElement> = (0..6).map(|_| fp.random(&mut rng)).collect();
-            elems.insert(2, fp.zero());
-            elems.push(fp.from_u64(1));
-            fp.reset_op_count();
-            let batch = fp.inv_batch(&elems);
-            let count = fp.op_count();
-            for (e, inv) in elems.iter().zip(&batch) {
-                assert_eq!(inv.as_ref(), fp.inv(e).as_ref(), "batch matches serial inv");
-                if let Some(inv) = inv {
-                    assert_eq!(fp.mul(e, inv), fp.one());
-                }
-            }
-            assert!(batch[2].is_none(), "zero element yields None");
-            // One recorded inversion per non-zero element, no recorded muls:
-            // inversion stays its own primitive.
-            assert_eq!((count.inv, count.mul), (7, 0));
-            assert!(fp.inv_batch(&[]).is_empty());
-            assert_eq!(fp.inv_batch(&[fp.zero()]), vec![None]);
-            let one_batch = fp.inv_batch(&elems[..1]);
-            assert_eq!(one_batch[0], fp.inv(&elems[0]));
-        }
+        let want = OpCount {
+            mul: 3,
+            add: 4,
+            sub: 2,
+            inv: 1,
+        };
+        assert_eq!(fp.op_count(), want);
+        // A panicking call still leaves its count.
+        fp.reset_op_count();
+        let unwound = std::panic::catch_unwind(|| {
+            let t = fp.tally();
+            let _ = t.double(&a);
+            panic!("after one addition");
+        });
+        assert!(unwound.is_err());
+        assert_eq!(fp.op_count().add, 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::fmt;
 use rand::Rng;
 
 use crate::error::FieldError;
-use crate::fp::{FpContext, FpElement};
+use crate::fp::{FpContext, FpElement, FpTally};
 
 /// Context for arithmetic in `Fp2 = Fp[w]/(w^2 + w + 1)`.
 #[derive(Clone, Debug)]
@@ -101,23 +101,30 @@ impl Fp2Context {
 
     /// Addition.
     pub fn add(&self, a: &Fp2Element, b: &Fp2Element) -> Fp2Element {
-        self.from_coeffs(self.fp.add(&a.c0, &b.c0), self.fp.add(&a.c1, &b.c1))
+        let t = self.fp.tally();
+        self.from_coeffs(t.add(&a.c0, &b.c0), t.add(&a.c1, &b.c1))
     }
 
     /// Subtraction.
     pub fn sub(&self, a: &Fp2Element, b: &Fp2Element) -> Fp2Element {
-        self.from_coeffs(self.fp.sub(&a.c0, &b.c0), self.fp.sub(&a.c1, &b.c1))
+        let t = self.fp.tally();
+        self.from_coeffs(t.sub(&a.c0, &b.c0), t.sub(&a.c1, &b.c1))
     }
 
     /// Negation.
     pub fn neg(&self, a: &Fp2Element) -> Fp2Element {
-        self.from_coeffs(self.fp.neg(&a.c0), self.fp.neg(&a.c1))
+        let t = self.fp.tally();
+        self.from_coeffs(t.neg(&a.c0), t.neg(&a.c1))
     }
 
     /// Multiplication using the Karatsuba 3M formula and the reduction
     /// `w^2 = -w - 1`.
     pub fn mul(&self, a: &Fp2Element, b: &Fp2Element) -> Fp2Element {
-        let fp = &self.fp;
+        self.mul_on(&self.fp.tally(), a, b)
+    }
+
+    /// [`mul`](Self::mul), counted on the caller's tally.
+    fn mul_on(&self, fp: &FpTally, a: &Fp2Element, b: &Fp2Element) -> Fp2Element {
         let v0 = fp.mul(&a.c0, &b.c0);
         let v1 = fp.mul(&a.c1, &b.c1);
         // (a0 + a1)(b0 + b1) = v0 + v1 + (a0b1 + a1b0)
@@ -136,13 +143,19 @@ impl Fp2Context {
 
     /// The Frobenius map `a ↦ a^p`, i.e. conjugation `w ↦ w^2 = -1 - w`.
     pub fn frobenius(&self, a: &Fp2Element) -> Fp2Element {
-        let fp = &self.fp;
+        self.frobenius_on(&self.fp.tally(), a)
+    }
+
+    fn frobenius_on(&self, fp: &FpTally, a: &Fp2Element) -> Fp2Element {
         self.from_coeffs(fp.sub(&a.c0, &a.c1), fp.neg(&a.c1))
     }
 
     /// The norm `N(a) = a · a^p ∈ Fp`, equal to `c0² - c0·c1 + c1²`.
     pub fn norm(&self, a: &Fp2Element) -> FpElement {
-        let fp = &self.fp;
+        self.norm_on(&self.fp.tally(), a)
+    }
+
+    fn norm_on(&self, fp: &FpTally, a: &Fp2Element) -> FpElement {
         let t = fp.mul(&a.c0, &a.c1);
         fp.add(&fp.sub(&fp.square(&a.c0), &t), &fp.square(&a.c1))
     }
@@ -156,19 +169,21 @@ impl Fp2Context {
         if a.is_zero() {
             return Err(FieldError::DivisionByZero);
         }
-        let n = self.norm(a);
-        let n_inv = self.fp.inv(&n).ok_or(FieldError::DivisionByZero)?;
-        let conj = self.frobenius(a);
-        Ok(self.from_coeffs(self.fp.mul(&conj.c0, &n_inv), self.fp.mul(&conj.c1, &n_inv)))
+        let t = self.fp.tally();
+        let n = self.norm_on(&t, a);
+        let n_inv = t.inv(&n).ok_or(FieldError::DivisionByZero)?;
+        let conj = self.frobenius_on(&t, a);
+        Ok(self.from_coeffs(t.mul(&conj.c0, &n_inv), t.mul(&conj.c1, &n_inv)))
     }
 
     /// Exponentiation by square-and-multiply.
     pub fn exp(&self, base: &Fp2Element, exp: &bignum::BigUint) -> Fp2Element {
+        let t = self.fp.tally();
         let mut acc = self.one();
         for i in (0..exp.bit_len()).rev() {
-            acc = self.square(&acc);
+            acc = self.mul_on(&t, &acc, &acc);
             if exp.bit(i) {
-                acc = self.mul(&acc, base);
+                acc = self.mul_on(&t, &acc, base);
             }
         }
         acc

@@ -12,7 +12,7 @@ use bignum::BigUint;
 use rand::Rng;
 
 use crate::error::FieldError;
-use crate::fp::{FpContext, FpElement};
+use crate::fp::{FpContext, FpElement, FpTally};
 
 /// Context for arithmetic in `Fp3 = Fp[x]/(x^3 - 3x + 1)`.
 #[derive(Clone)]
@@ -135,45 +135,38 @@ impl Fp3Context {
 
     /// Addition.
     pub fn add(&self, a: &Fp3Element, b: &Fp3Element) -> Fp3Element {
-        self.from_coeffs([
-            self.fp.add(&a.c[0], &b.c[0]),
-            self.fp.add(&a.c[1], &b.c[1]),
-            self.fp.add(&a.c[2], &b.c[2]),
-        ])
+        let t = self.fp.tally();
+        self.from_coeffs(std::array::from_fn(|i| t.add(&a.c[i], &b.c[i])))
     }
 
     /// Subtraction.
     pub fn sub(&self, a: &Fp3Element, b: &Fp3Element) -> Fp3Element {
-        self.from_coeffs([
-            self.fp.sub(&a.c[0], &b.c[0]),
-            self.fp.sub(&a.c[1], &b.c[1]),
-            self.fp.sub(&a.c[2], &b.c[2]),
-        ])
+        let t = self.fp.tally();
+        self.from_coeffs(std::array::from_fn(|i| t.sub(&a.c[i], &b.c[i])))
     }
 
     /// Negation.
     pub fn neg(&self, a: &Fp3Element) -> Fp3Element {
-        self.from_coeffs([
-            self.fp.neg(&a.c[0]),
-            self.fp.neg(&a.c[1]),
-            self.fp.neg(&a.c[2]),
-        ])
+        let t = self.fp.tally();
+        self.from_coeffs(a.c.map(|c| t.neg(&c)))
     }
 
     /// Multiplication by a base-field scalar (3 multiplications).
     pub fn scalar_mul(&self, a: &Fp3Element, s: &FpElement) -> Fp3Element {
-        self.from_coeffs([
-            self.fp.mul(&a.c[0], s),
-            self.fp.mul(&a.c[1], s),
-            self.fp.mul(&a.c[2], s),
-        ])
+        let t = self.fp.tally();
+        self.from_coeffs(a.c.map(|c| t.mul(&c, s)))
     }
 
     /// Multiplication using the 6M Karatsuba formula of Section 2.2.2 and
     /// the reduction `x^3 = 3x - 1`, `x^4 = 3x² - x`.
     pub fn mul(&self, a: &Fp3Element, b: &Fp3Element) -> Fp3Element {
-        let d = karatsuba3(&self.fp, &a.c, &b.c);
-        self.reduce_deg4(&d)
+        self.mul_on(&self.fp.tally(), a, b)
+    }
+
+    /// [`mul`](Self::mul), counted on the caller's tally.
+    fn mul_on(&self, t: &FpTally, a: &Fp3Element, b: &Fp3Element) -> Fp3Element {
+        let d = karatsuba3(t, &a.c, &b.c);
+        self.reduce_deg4(t, &d)
     }
 
     /// Squaring (delegates to [`mul`](Self::mul); the paper counts squarings
@@ -184,11 +177,12 @@ impl Fp3Context {
 
     /// Exponentiation by square-and-multiply.
     pub fn exp(&self, base: &Fp3Element, exp: &BigUint) -> Fp3Element {
+        let t = self.fp.tally();
         let mut acc = self.one();
         for i in (0..exp.bit_len()).rev() {
-            acc = self.square(&acc);
+            acc = self.mul_on(&t, &acc, &acc);
             if exp.bit(i) {
-                acc = self.mul(&acc, base);
+                acc = self.mul_on(&t, &acc, base);
             }
         }
         acc
@@ -197,11 +191,17 @@ impl Fp3Context {
     /// The Frobenius map `a ↦ a^p` (an `Fp`-linear map; uses the cached
     /// image of `x`).
     pub fn frobenius(&self, a: &Fp3Element) -> Fp3Element {
-        let xp = Fp3Element { c: self.frob_x };
-        let xp2 = Fp3Element { c: self.frob_x2 };
-        let t1 = self.scalar_mul(&xp, &a.c[1]);
-        let t2 = self.scalar_mul(&xp2, &a.c[2]);
-        self.add(&self.from_fp(a.c[0]), &self.add(&t1, &t2))
+        self.frobenius_on(&self.fp.tally(), a)
+    }
+
+    fn frobenius_on(&self, t: &FpTally, a: &Fp3Element) -> Fp3Element {
+        // a0 + a1·x^p + a2·(x^p)², coefficient by coefficient.
+        let a0 = [a.c[0], self.fp.zero(), self.fp.zero()];
+        self.from_coeffs(std::array::from_fn(|i| {
+            let t1 = t.mul(&self.frob_x[i], &a.c[1]);
+            let t2 = t.mul(&self.frob_x2[i], &a.c[2]);
+            t.add(&a0[i], &t.add(&t1, &t2))
+        }))
     }
 
     /// The norm `N(a) = a · a^p · a^{p²} ∈ Fp`.
@@ -211,9 +211,10 @@ impl Fp3Context {
     /// Panics (debug builds) if the computed norm does not lie in `Fp`,
     /// which would indicate an internal inconsistency.
     pub fn norm(&self, a: &Fp3Element) -> FpElement {
-        let f1 = self.frobenius(a);
-        let f2 = self.frobenius(&f1);
-        let n = self.mul(a, &self.mul(&f1, &f2));
+        let t = self.fp.tally();
+        let f1 = self.frobenius_on(&t, a);
+        let f2 = self.frobenius_on(&t, &f1);
+        let n = self.mul_on(&t, a, &self.mul_on(&t, &f1, &f2));
         debug_assert!(n.c[1].is_zero() && n.c[2].is_zero(), "norm not in Fp");
         n.c[0]
     }
@@ -227,18 +228,18 @@ impl Fp3Context {
         if a.is_zero() {
             return Err(FieldError::DivisionByZero);
         }
-        let f1 = self.frobenius(a);
-        let f2 = self.frobenius(&f1);
-        let adj = self.mul(&f1, &f2);
-        let n = self.mul(a, &adj);
+        let t = self.fp.tally();
+        let f1 = self.frobenius_on(&t, a);
+        let f2 = self.frobenius_on(&t, &f1);
+        let adj = self.mul_on(&t, &f1, &f2);
+        let n = self.mul_on(&t, a, &adj);
         debug_assert!(n.c[1].is_zero() && n.c[2].is_zero(), "norm not in Fp");
-        let n_inv = self.fp.inv(&n.c[0]).ok_or(FieldError::DivisionByZero)?;
-        Ok(self.scalar_mul(&adj, &n_inv))
+        let n_inv = t.inv(&n.c[0]).ok_or(FieldError::DivisionByZero)?;
+        Ok(self.from_coeffs(adj.c.map(|c| t.mul(&c, &n_inv))))
     }
 
     /// Reduces a degree-4 polynomial in `x` modulo `x^3 - 3x + 1`.
-    fn reduce_deg4(&self, d: &[FpElement; 5]) -> Fp3Element {
-        let fp = &self.fp;
+    fn reduce_deg4(&self, fp: &FpTally, d: &[FpElement; 5]) -> Fp3Element {
         // x^3 = 3x - 1, x^4 = 3x^2 - x
         let three_d3 = fp.mul_small(&d[3], 3);
         let three_d4 = fp.mul_small(&d[4], 3);
@@ -251,7 +252,7 @@ impl Fp3Context {
 
 /// Multiplies two degree-2 polynomials with the 6M formula of Section 2.2.2,
 /// returning the five coefficients of the degree-4 product.
-pub(crate) fn karatsuba3(fp: &FpContext, a: &[FpElement; 3], b: &[FpElement; 3]) -> [FpElement; 5] {
+pub(crate) fn karatsuba3(fp: &FpTally, a: &[FpElement; 3], b: &[FpElement; 3]) -> [FpElement; 5] {
     let c0 = fp.mul(&a[0], &b[0]);
     let c1 = fp.mul(&a[1], &b[1]);
     let c2 = fp.mul(&a[2], &b[2]);
@@ -288,7 +289,7 @@ mod tests {
                 d[i + j] = fp.add(&d[i + j], &fp.mul(&a.coeffs()[i], &b.coeffs()[j]));
             }
         }
-        f.reduce_deg4(&d)
+        f.reduce_deg4(&fp.tally(), &d)
     }
 
     #[test]

@@ -13,7 +13,7 @@ use bignum::BigUint;
 use rand::Rng;
 
 use crate::error::FieldError;
-use crate::fp::{FpContext, FpElement};
+use crate::fp::{FpContext, FpElement, FpTally};
 use crate::fp3::karatsuba3;
 
 /// Context for arithmetic in `Fp6 = Fp[z]/(z^6 + z^3 + 1)` (representation F1).
@@ -159,22 +159,26 @@ impl Fp6Context {
 
     /// Addition (6 base-field additions, as in Section 2.2.1).
     pub fn add(&self, a: &Fp6Element, b: &Fp6Element) -> Fp6Element {
-        self.from_coeffs(std::array::from_fn(|i| self.fp.add(&a.c[i], &b.c[i])))
+        let t = self.fp.tally();
+        self.from_coeffs(std::array::from_fn(|i| t.add(&a.c[i], &b.c[i])))
     }
 
     /// Subtraction.
     pub fn sub(&self, a: &Fp6Element, b: &Fp6Element) -> Fp6Element {
-        self.from_coeffs(std::array::from_fn(|i| self.fp.sub(&a.c[i], &b.c[i])))
+        let t = self.fp.tally();
+        self.from_coeffs(std::array::from_fn(|i| t.sub(&a.c[i], &b.c[i])))
     }
 
     /// Negation.
     pub fn neg(&self, a: &Fp6Element) -> Fp6Element {
-        self.from_coeffs(std::array::from_fn(|i| self.fp.neg(&a.c[i])))
+        let t = self.fp.tally();
+        self.from_coeffs(a.c.map(|c| t.neg(&c)))
     }
 
     /// Multiplication by a base-field scalar (6 multiplications).
     pub fn scalar_mul(&self, a: &Fp6Element, s: &FpElement) -> Fp6Element {
-        self.from_coeffs(std::array::from_fn(|i| self.fp.mul(&a.c[i], s)))
+        let t = self.fp.tally();
+        self.from_coeffs(a.c.map(|c| t.mul(&c, s)))
     }
 
     /// Multiplication with the paper's 18M Karatsuba schedule
@@ -184,7 +188,11 @@ impl Fp6Context {
     /// the three half-products `C0 = A0·B0`, `C1 = A1·B1` and
     /// `C2 = (A0-A1)(B0-B1)` each cost 6M, for 18M total.
     pub fn mul(&self, a: &Fp6Element, b: &Fp6Element) -> Fp6Element {
-        let fp = &self.fp;
+        self.mul_on(&self.fp.tally(), a, b)
+    }
+
+    /// [`mul`](Self::mul), counted on the caller's tally.
+    fn mul_on(&self, fp: &FpTally, a: &Fp6Element, b: &Fp6Element) -> Fp6Element {
         let a0: [FpElement; 3] = [a.c[0], a.c[1], a.c[2]];
         let a1: [FpElement; 3] = [a.c[3], a.c[4], a.c[5]];
         let b0: [FpElement; 3] = [b.c[0], b.c[1], b.c[2]];
@@ -214,7 +222,7 @@ impl Fp6Context {
             c1[3],
             c1[4],
         ];
-        self.reduce_deg10(&d)
+        self.reduce_deg10(fp, &d)
     }
 
     /// Squaring (delegates to [`mul`](Self::mul), counted as 18M like the paper).
@@ -224,11 +232,12 @@ impl Fp6Context {
 
     /// Exponentiation by left-to-right square-and-multiply.
     pub fn exp(&self, base: &Fp6Element, exp: &BigUint) -> Fp6Element {
+        let t = self.fp.tally();
         let mut acc = self.one();
         for i in (0..exp.bit_len()).rev() {
-            acc = self.square(&acc);
+            acc = self.mul_on(&t, &acc, &acc);
             if exp.bit(i) {
-                acc = self.mul(&acc, base);
+                acc = self.mul_on(&t, &acc, base);
             }
         }
         acc
@@ -240,13 +249,16 @@ impl Fp6Context {
     /// of coefficients (no multiplications): `z^i ↦ z^{(i·p^k) mod 9}` with
     /// `z^6 = -z³ - 1`, `z^7 = -z⁴ - z`, `z^8 = -z⁵ - z²`.
     pub fn frobenius(&self, a: &Fp6Element, k: usize) -> Fp6Element {
-        let fp = &self.fp;
+        self.frobenius_on(&self.fp.tally(), a, k)
+    }
+
+    fn frobenius_on(&self, fp: &FpTally, a: &Fp6Element, k: usize) -> Fp6Element {
         // p^k mod 9
         let mut e = 1u32;
         for _ in 0..(k % 6) {
             e = (e * self.p_mod_9) % 9;
         }
-        let mut r: [FpElement; 6] = [fp.zero(); 6];
+        let mut r: [FpElement; 6] = [self.fp.zero(); 6];
         for i in 0..6 {
             if a.c[i].is_zero() {
                 continue;
@@ -280,14 +292,16 @@ impl Fp6Context {
     /// The relative norm to `Fp3`: `N_{Fp6/Fp3}(a) = a · a^{p³}` (an element
     /// of the `Fp3` subfield, returned as an `Fp6` element).
     pub fn norm_to_fp3(&self, a: &Fp6Element) -> Fp6Element {
-        self.mul(a, &self.conjugate(a))
+        let t = self.fp.tally();
+        self.mul_on(&t, a, &self.frobenius_on(&t, a, 3))
     }
 
     /// The relative norm to `Fp2`: `N_{Fp6/Fp2}(a) = a · a^{p²} · a^{p⁴}`.
     pub fn norm_to_fp2(&self, a: &Fp6Element) -> Fp6Element {
-        let f2 = self.frobenius(a, 2);
-        let f4 = self.frobenius(a, 4);
-        self.mul(a, &self.mul(&f2, &f4))
+        let t = self.fp.tally();
+        let f2 = self.frobenius_on(&t, a, 2);
+        let f4 = self.frobenius_on(&t, a, 4);
+        self.mul_on(&t, a, &self.mul_on(&t, &f2, &f4))
     }
 
     /// The absolute norm `N_{Fp6/Fp}(a) ∈ Fp`.
@@ -296,9 +310,10 @@ impl Fp6Context {
     ///
     /// Panics (debug builds) if the computed norm does not lie in `Fp`.
     pub fn norm(&self, a: &Fp6Element) -> FpElement {
+        let t = self.fp.tally();
         let mut prod = a.clone();
         for k in 1..6 {
-            prod = self.mul(&prod, &self.frobenius(a, k));
+            prod = self.mul_on(&t, &prod, &self.frobenius_on(&t, a, k));
         }
         debug_assert!(
             prod.c[1..].iter().all(FpElement::is_zero),
@@ -316,22 +331,22 @@ impl Fp6Context {
         if a.is_zero() {
             return Err(FieldError::DivisionByZero);
         }
-        let mut adj = self.frobenius(a, 1);
+        let t = self.fp.tally();
+        let mut adj = self.frobenius_on(&t, a, 1);
         for k in 2..6 {
-            adj = self.mul(&adj, &self.frobenius(a, k));
+            adj = self.mul_on(&t, &adj, &self.frobenius_on(&t, a, k));
         }
-        let n = self.mul(a, &adj);
+        let n = self.mul_on(&t, a, &adj);
         debug_assert!(
             n.c[1..].iter().all(FpElement::is_zero),
             "absolute norm must lie in Fp"
         );
-        let n_inv = self.fp.inv(&n.c[0]).ok_or(FieldError::DivisionByZero)?;
-        Ok(self.scalar_mul(&adj, &n_inv))
+        let n_inv = t.inv(&n.c[0]).ok_or(FieldError::DivisionByZero)?;
+        Ok(self.from_coeffs(adj.c.map(|c| t.mul(&c, &n_inv))))
     }
 
     /// Reduces a polynomial of degree ≤ 10 modulo `z^6 + z^3 + 1`.
-    fn reduce_deg10(&self, d: &[FpElement]) -> Fp6Element {
-        let fp = &self.fp;
+    fn reduce_deg10(&self, fp: &FpTally, d: &[FpElement]) -> Fp6Element {
         debug_assert!(d.len() == 11);
         let mut r: [FpElement; 6] = std::array::from_fn(|i| d[i]);
         // z^6 = -z^3 - 1
@@ -369,7 +384,7 @@ mod tests {
                 d[i + j] = fp.add(&d[i + j], &fp.mul(&a.coeffs()[i], &b.coeffs()[j]));
             }
         }
-        f.reduce_deg10(&d)
+        f.reduce_deg10(&fp.tally(), &d)
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod opcount;
 
 pub use error::FieldError;
 pub use f2repr::{F2Element, F2Repr};
-pub use fp::{FpContext, FpElement};
+pub use fp::{FpContext, FpElement, FpTally};
 pub use fp2::{Fp2Context, Fp2Element};
 pub use fp3::{Fp3Context, Fp3Element};
 pub use fp6::{Fp6Context, Fp6Element};

@@ -106,11 +106,12 @@ impl FpMatrix {
     /// Panics if `v.len() != self.cols()`.
     pub fn mul_vec(&self, v: &[FpElement]) -> Vec<FpElement> {
         assert_eq!(v.len(), self.cols, "dimension mismatch");
+        let t = self.fp.tally();
         (0..self.rows)
             .map(|r| {
                 let mut acc = self.fp.zero();
                 for (c, v_c) in v.iter().enumerate() {
-                    acc = self.fp.add(&acc, &self.fp.mul(self.get(r, c), v_c));
+                    acc = t.add(&acc, &t.mul(self.get(r, c), v_c));
                 }
                 acc
             })
@@ -125,13 +126,12 @@ impl FpMatrix {
     pub fn mul_mat(&self, other: &FpMatrix) -> FpMatrix {
         assert_eq!(self.cols, other.rows, "dimension mismatch");
         let mut out = FpMatrix::zero(&self.fp, self.rows, other.cols);
+        let t = self.fp.tally();
         for r in 0..self.rows {
             for c in 0..other.cols {
                 let mut acc = self.fp.zero();
                 for k in 0..self.cols {
-                    acc = self
-                        .fp
-                        .add(&acc, &self.fp.mul(self.get(r, k), other.get(k, c)));
+                    acc = t.add(&acc, &t.mul(self.get(r, k), other.get(k, c)));
                 }
                 out.set(r, c, acc);
             }

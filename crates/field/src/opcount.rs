@@ -5,6 +5,10 @@
 //! multiplication (18M + 60A), which in turn drives the Type-A/Type-B cycle
 //! analysis. The [`OpCounter`] mirrors that accounting so the library can
 //! report the same breakdown and feed the `platform` cycle model.
+//!
+//! Composite routines do not touch the shared counter per operation: they
+//! run their `Fp` work on an [`FpTally`](crate::FpTally), which adds its
+//! totals to the counter once, when it drops.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,24 +70,20 @@ impl OpCounter {
         Arc::new(OpCounter::default())
     }
 
-    /// Records one modular multiplication.
-    pub fn record_mul(&self) {
-        self.mul.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one modular addition.
-    pub fn record_add(&self) {
-        self.add.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one modular subtraction.
-    pub fn record_sub(&self) {
-        self.sub.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one modular inversion.
-    pub fn record_inv(&self) {
-        self.inv.fetch_add(1, Ordering::Relaxed);
+    /// Adds a batch of operations to the totals: one relaxed `fetch_add`
+    /// per non-zero field. [`FpTally`](crate::FpTally) calls this once,
+    /// when it drops.
+    pub fn record(&self, ops: OpCount) {
+        for (cell, n) in [
+            (&self.mul, ops.mul),
+            (&self.add, ops.add),
+            (&self.sub, ops.sub),
+            (&self.inv, ops.inv),
+        ] {
+            if n != 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Returns the current counts.
@@ -112,11 +112,16 @@ mod tests {
     #[test]
     fn records_and_snapshots() {
         let c = OpCounter::new();
-        c.record_mul();
-        c.record_mul();
-        c.record_add();
-        c.record_sub();
-        c.record_inv();
+        c.record(OpCount {
+            mul: 2,
+            add: 1,
+            ..OpCount::default()
+        });
+        c.record(OpCount {
+            sub: 1,
+            inv: 1,
+            ..OpCount::default()
+        });
         let s = c.snapshot();
         assert_eq!(
             s,
@@ -167,7 +172,10 @@ mod tests {
                 let c = Arc::clone(&c);
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        c.record_mul();
+                        c.record(OpCount {
+                            mul: 1,
+                            ..OpCount::default()
+                        });
                     }
                 })
             })

@@ -2,8 +2,8 @@
 //! the batch entry points to independent one-at-a-time references.
 //!
 //! Every ladder variant (double-and-add, NAF, windowed/comb) and every
-//! batch kernel (`Curve::scalar_mul_batch`, `FpContext::exp_batch` /
-//! `inv_batch`, `MontgomeryContext::mont_mul_batch`) must agree with its
+//! batch kernel (`Curve::scalar_mul_batch`,
+//! `MontgomeryContext::mont_mul_batch`) must agree with its
 //! serial reference. For the ladders that is `Curve::scalar_mul_reference`,
 //! which runs the same recodings over the affine chord-and-tangent law, so
 //! a bug in the Jacobian formulas cannot mask itself. Edge coverage: empty
@@ -99,37 +99,6 @@ proptest! {
         for len in [0usize, 1, 3, 5, 7, 9] {
             let batch = curve.scalar_mul_batch(&requests[..len]);
             prop_assert_eq!(&batch[..], &references[..len], "len {}", len);
-        }
-    }
-
-    /// `FpContext::exp_batch` and `inv_batch` match their serial
-    /// counterparts for ragged lengths, including empty and length one,
-    /// with a zero element mixed in (whose inverse must come back `None`).
-    #[test]
-    fn field_batches_match_serial(limbs in prop::array::uniform8(any::<u64>())) {
-        let curve = curve();
-        let fp = curve.fp();
-        let pairs: Vec<_> = (0..5)
-            .map(|i| {
-                (
-                    fp.from_biguint(&scalar([limbs[i], limbs[(i + 1) % 8], limbs[(i + 2) % 8], 0])),
-                    scalar([limbs[(i + 3) % 8], i as u64, 0, 0]),
-                )
-            })
-            .collect();
-        for len in [0usize, 1, 3, 5] {
-            let got = fp.exp_batch(&pairs[..len]);
-            prop_assert_eq!(got.len(), len);
-            for (i, (base, exp)) in pairs[..len].iter().enumerate() {
-                prop_assert_eq!(&got[i], &fp.exp(base, exp), "exp lane {}", i);
-            }
-            let mut elems: Vec<_> = pairs[..len].iter().map(|(b, _)| *b).collect();
-            elems.push(fp.zero());
-            let inv = fp.inv_batch(&elems);
-            prop_assert_eq!(inv.len(), elems.len());
-            for (i, e) in elems.iter().enumerate() {
-                prop_assert_eq!(&inv[i], &fp.inv(e), "inv lane {}", i);
-            }
         }
     }
 

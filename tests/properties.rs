@@ -4,8 +4,8 @@
 
 use bignum::{mod_exp, BigUint, MontgomeryParams};
 use ceilidh::{
-    compress, decompress, decrypt_hybrid, CeilidhParams, CompressedTorus, HybridCiphertext,
-    KeyPair, TorusElement,
+    compress, decompress, decompress_t2, decrypt_hybrid, CeilidhParams, CompressedT2,
+    CompressedTorus, HybridCiphertext, KeyPair, TorusElement,
 };
 use field::{Fp6Context, FpContext};
 use proptest::prelude::*;
@@ -194,6 +194,32 @@ proptest! {
             // x^16 is one window of four cyclotomic squarings of x.
             let x16 = (0..4).fold(base.as_fp6().clone(), |x, _| fp6.mul(&x, &x));
             prop_assert_eq!(params.pow(&base, &BigUint::from(16u64)).into_fp6(), x16);
+        }
+    }
+
+    /// Both decompressions never panic on arbitrary coordinates below
+    /// 2^180 and any hint; shifts of 15 bits or more keep every coordinate
+    /// below the 170-bit p, so about half the cases reach the root search.
+    /// Whatever is accepted lies on `T6`, and a factor-3 encoding that
+    /// decodes compresses back to itself.
+    #[test]
+    fn decompression_of_arbitrary_coordinates_never_panics(
+        coords in prop::array::uniform3(biguint(23)),
+        shift in 4usize..24,
+        hint in any::<u8>(),
+    ) {
+        let params = CeilidhParams::date2008().unwrap();
+        let [u0, u1, u2] = coords.map(|u| u.shr_bits(shift));
+        // Any hint, and one below 2, in range whenever both roots exist.
+        for hint in [hint, hint % 2] {
+            let encoded = CompressedTorus { u0: u0.clone(), u1: u1.clone(), hint };
+            if let Ok(g) = decompress(&params, &encoded) {
+                prop_assert!(params.is_torus_member(g.as_fp6()));
+                prop_assert_eq!(compress(&params, &g).unwrap(), encoded);
+            }
+        }
+        if let Ok(g) = decompress_t2(&params, &CompressedT2 { coords: [u0, u1, u2] }) {
+            prop_assert!(params.is_torus_member(g.as_fp6()));
         }
     }
 
